@@ -12,31 +12,18 @@ import json
 import sys
 
 from .decompose import (
+    _frame_suite,
     canonical_decomposition,
     dn_orthogonality_pattern,
     enumerate_max_orthogonal,
-    epsilon_factorization,
     parabolic_tower,
     recursion_relation_check,
     verify_decomposition,
 )
-from .errors import Orthogonal, WeylError
-from .rootsys import RootSystem, build_root_system, format_root, parse_type, pairing2
-from .weyl import (
-    classify_longest,
-    compose,
-    count_reduced_words,
-    length_of,
-    longest_element,
-    reflection_of,
-)
-from .words import (
-    check_lambda_v,
-    check_permutation_lemma,
-    classify_conjugation,
-    conjugated_root,
-    predicted_conjugate,
-)
+from .errors import WeylError
+from .rootsys import RootSystem, build_root_system, format_root, parse_type
+from .weyl import classify_longest, count_reduced_words, length_of, longest_element
+from .words import _conjugation_suite, _interval_suite
 
 
 class _UsageError(Exception):
@@ -282,58 +269,6 @@ def _cmd_count_words(ns) -> tuple[int, str]:
     if ns.json:
         return 0, _dumps({"type": str(rs.type), "count": str(count)})
     return 0, f"reduced words for the longest element: {count}\n"
-
-
-def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
-    """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named)."""
-    refl = {r: reflection_of(rs, r) for r in rs.positive_roots}
-    pairs = 0
-    named = 0
-    for a in rs.positive_roots:
-        for b in rs.positive_roots:
-            if a == b:
-                continue
-            pairs += 1
-            conj = conjugated_root(rs, a, b)
-            literal = compose(compose(refl[a], refl[b]), refl[a])
-            if refl[conj] != literal:
-                return False, pairs, named
-            try:
-                case = classify_conjugation(rs, a, b)
-            except Orthogonal:
-                if conj != b:
-                    return False, pairs, named
-                continue
-            if case is not None:
-                named += 1
-                if predicted_conjugate(rs, a, b, case) != conj:
-                    return False, pairs, named
-    return True, pairs, named
-
-
-def _interval_suite(rs: RootSystem) -> tuple[bool, int]:
-    checked = 0
-    for n in range(2, rs.rank + 1):
-        for k in range(1, n):
-            checked += 1
-            if not (check_lambda_v(rs, k, n) and check_permutation_lemma(rs, k, n)):
-                return False, checked
-    return True, checked
-
-
-def _frame_suite(rs: RootSystem) -> bool:
-    roots = epsilon_factorization(rs)
-    if any(
-        pairing2(rs, roots[i], roots[j]) != 0
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    ):
-        return False
-    product = None
-    for r in roots:
-        s = reflection_of(rs, r)
-        product = s if product is None else compose(product, s)
-    return product == longest_element(rs)
 
 
 def _cmd_check_identities(ns) -> tuple[int, str]:

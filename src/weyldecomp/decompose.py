@@ -2,20 +2,26 @@
 
 The longest element of every Weyl group factors as a product of reflections
 in mutually orthogonal positive roots, one factor per -1 eigenvalue of its
-action.  This module constructs the canonical such decomposition for each
-family, verifies candidate decompositions against five independent
+action.  This module constructs the canonical such decomposition as Kostant's
+cascade of strongly orthogonal roots (B. Kostant, "The cascade of orthogonal
+roots and the coadjoint structure of the nilradical of a Borel subgroup of a
+semisimple Lie group", Moscow Math. J. 12, 2012): take the highest root of
+each connected component of the Dynkin diagram, keep the nodes orthogonal to
+it, and recurse.  It verifies candidate decompositions against five independent
 conditions, enumerates all maximal-orthogonal decompositions by exhaustive
 search on small systems, and exposes the cross-rank recursion that produces
 each canonical decomposition from a smaller system's.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
     Root,
     RootSystem,
+    _components,
     dominance_leq,
     highest_root_of,
     is_connected,
@@ -31,6 +37,7 @@ from .weyl import (
     longest_element,
     reduced_word_of,
     reflection_of,
+    reflection_product,
 )
 
 
@@ -62,13 +69,10 @@ class Decomposition:
         return tuple(f.root for f in self.factors)
 
     def product(self) -> Matrix:
-        m = identity_matrix(self.system.rank)
-        for f in self.factors:
-            m = compose(m, reflection_of(self.system, f.root))
-        return m
+        return reflection_product(self.system, self.roots)
 
 
-def _factor_for(rs: RootSystem, root: Root) -> DecompositionFactor:
+def _factor_for(root: Root) -> DecompositionFactor:
     kind = "simple" if sum(root) == 1 else "highest"
     return DecompositionFactor(root=root, kind=kind)
 
@@ -79,75 +83,51 @@ def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
     for r in roots:
         if r not in rs.root_index:
             raise NotARoot(f"{r} is not a positive root of {rs.type}")
-        checked.append(_factor_for(rs, r))
+        checked.append(_factor_for(r))
     return Decomposition(system=rs, factors=tuple(checked))
 
 
-def _expected_supports(rs: RootSystem) -> list[tuple[int, ...]]:
-    """Supports of the canonical factors, simples first, then growing chains."""
-    fam, n = rs.family, rs.rank
-    simples: list[int] = []
-    chains: list[tuple[int, ...]] = []
-    if fam == "A":
-        k = n // 2
-        if n % 2 == 0:
-            # intervals [k-i+1, k+i]
-            chains = [tuple(range(k - i + 1, k + i + 1)) for i in range(1, k + 1)]
-        else:
-            simples = [k + 1]
-            chains = [tuple(range(k - i + 1, k + i + 2)) for i in range(1, k + 1)]
-    elif fam == "B":
-        if n % 2 == 0:
-            simples = list(range(1, n, 2))
-            tails = range(2, n + 1, 2)
-        else:
-            simples = [n] + list(range(1, n - 1, 2))
-            tails = range(3, n + 1, 2)
-        chains = [tuple(range(n - m + 1, n + 1)) for m in tails]
-    elif fam == "C":
-        simples = [n]
-        chains = [tuple(range(n - m + 1, n + 1)) for m in range(2, n + 1)]
-    elif fam == "D":
-        if n % 2 == 0:
-            simples = [n, n - 1] + list(range(1, n - 2, 2))
-            tails = range(4, n + 1, 2)
-        else:
-            simples = list(range(1, n - 1, 2))
-            tails = range(3, n + 1, 2)
-        chains = [tuple(range(n - m + 1, n + 1)) for m in tails]
-    elif fam == "E" and n == 6:
-        simples = [4]
-        chains = [(3, 4, 5), (1, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
-    elif fam == "E" and n == 7:
-        simples = [2, 3, 5, 7]
-        chains = [(2, 3, 4, 5), (2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)]
-    elif fam == "E" and n == 8:
-        simples = [2, 3, 5, 7]
-        chains = [
-            (2, 3, 4, 5),
-            (2, 3, 4, 5, 6, 7),
-            (1, 2, 3, 4, 5, 6, 7),
-            (1, 2, 3, 4, 5, 6, 7, 8),
-        ]
-    elif fam == "F":
-        simples = [2]
-        chains = [(2, 3), (2, 3, 4), (1, 2, 3, 4)]
-    elif fam == "G":
-        simples = [1]
-        chains = [(1, 2)]
-    supports = [tuple([i]) for i in simples] + chains
-    return supports
+def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
+    """Kostant's cascade, as (theta, components of theta-perp) steps.
+
+    Each step takes the highest root theta of a connected index set J, splits
+    the nodes of J orthogonal to theta into connected components, and queues
+    them as later steps; the first step is the whole diagram's.  The thetas
+    are the cascade's mutually orthogonal roots.
+    """
+    queue = [tuple(range(1, rs.rank + 1))]
+    for J in queue:
+        theta = highest_root_of(rs, J)
+        perp = _components(rs, [i for i in J if pairing2(rs, rs.simple_root(i), theta) == 0])
+        queue.extend(perp)
+        yield theta, perp
+
+
+def _simple_factor_key(rs: RootSystem):
+    """Listing order of the simple factors: ascending, except that the end
+    nodes n of B and n-1, n of D (simple factors in odd B and even D) lead,
+    in descending order."""
+    lead = {"B": rs.rank, "D": rs.rank - 1}.get(rs.family, rs.rank + 1)
+
+    def key(root: Root) -> tuple[bool, int]:
+        (i,) = support(root)
+        return (i < lead, i if i < lead else -i)
+
+    return key
 
 
 def canonical_decomposition(rs: RootSystem) -> Decomposition:
     """The canonical maximal-orthogonal decomposition of the longest element.
 
+    Its factors are the roots of Kostant's cascade (Moscow Math. J. 12, 2012).
     Simple factors come first; the remaining factors are highest roots of a
     dominance-increasing chain of connected standard parabolics, listed by
-    ascending support.
+    ascending height.
     """
-    roots = [highest_root_of(rs, J) for J in _expected_supports(rs)]
-    return Decomposition(system=rs, factors=tuple(_factor_for(rs, r) for r in roots))
+    roots = [theta for theta, _ in _cascade(rs)]
+    simples = sorted((r for r in roots if sum(r) == 1), key=_simple_factor_key(rs))
+    chain = sorted((r for r in roots if sum(r) > 1), key=sum)
+    return Decomposition(system=rs, factors=tuple(_factor_for(r) for r in simples + chain))
 
 
 @dataclass(frozen=True)
@@ -170,6 +150,12 @@ class VerificationReport:
         )
 
 
+def _pairwise_orthogonal(rs: RootSystem, roots) -> bool:
+    return all(
+        pairing2(rs, x, y) == 0 for i, x in enumerate(roots) for y in roots[i + 1 :]
+    )
+
+
 def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationReport:
     """Run the five checks on a candidate decomposition.
 
@@ -187,11 +173,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
         if not is_root(rs, r):
             raise NotARoot(f"{r} is not a root of {rs.type}")
 
-    orthogonal = all(
-        pairing2(rs, roots[i], roots[j]) == 0
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    )
+    orthogonal = _pairwise_orthogonal(rs, roots)
 
     highest_ok = True
     for r in roots:
@@ -290,62 +272,32 @@ def enumerate_max_orthogonal(
     return decs
 
 
-# Cross-rank recursion table: for each eligible type, the index set carrying
-# the smaller system whose canonical decomposition seeds this one, and how
-# many trailing reflections complete it.
-def _recursion_plan(rs: RootSystem):
-    fam, n = rs.family, rs.rank
-    if fam == "A" and n >= 3:
-        return tuple(range(2, n)), "highest_only"
-    if fam == "B" and n >= 4:
-        return tuple(range(3, n + 1)), "highest_and_first"
-    if fam == "C" and n >= 3:
-        return tuple(range(2, n + 1)), "highest_only"
-    if fam == "D" and n >= 6:
-        return tuple(range(3, n + 1)), "highest_and_first"
-    if fam == "E" and n == 6:
-        return (1, 3, 4, 5, 6), "highest_only"
-    if fam == "E" and n == 7:
-        return (2, 3, 4, 5, 6, 7), "highest_only"
-    if fam == "E" and n == 8:
-        return (1, 2, 3, 4, 5, 6, 7), "highest_only"
-    if fam == "F":
-        return (2, 3, 4), "highest_only"
-    raise NoRelation(f"no cross-rank recursion is defined for {rs.type}")
+# Types outside the cross-rank recursion, by contract.  This is not derived
+# from the cascade: the relation would also hold on B2, C2, D3, D5 and G2.
+_NO_RELATION = frozenset({"A1", "A2", "B2", "B3", "C2", "D3", "D4", "D5", "G2"})
 
 
 def recursion_relation_check(rs: RootSystem) -> bool:
     """Check that the canonical decomposition satisfies its recursion relation.
 
-    The longest element factors as (image of the smaller system's longest
-    element under the parabolic embedding) times a short tail: the reflection
-    in the full highest root, together with the first simple reflection in the
-    families whose parabolic drops two nodes.  Both tail orders are accepted,
-    as the tail reflections commute with each other but orderings against the
-    embedded part differ per family.
+    Let theta be the highest root and J the largest connected component of
+    the nodes orthogonal to theta (the first step of Kostant's cascade).  The
+    longest element factors as the image of the longest element of the
+    parabolic on J under its embedding, times the reflection in theta and, in
+    the families whose theta-perp has a second component (B and D, where it
+    is the first node), the reflection in that component's highest root.  The
+    tail roots are orthogonal to J and to each other, so all these
+    reflections commute and one order suffices.
     """
-    J, tail_kind = _recursion_plan(rs)
+    if str(rs.type) in _NO_RELATION:
+        raise NoRelation(f"no cross-rank recursion is defined for {rs.type}")
+    theta, perp = next(_cascade(rs))
+    J = max(perp, key=len)
     inner, index_map = parabolic_embedding(rs, J)
     inner_word = reduced_word_of(inner, longest_element(inner))
-    embedded = identity_matrix(rs.rank)
-    for letter in inner_word:
-        embedded = compose(
-            embedded, reflection_of(rs, rs.simple_root(index_map[letter]))
-        )
-    s_high = reflection_of(rs, rs.highest_root)
-    tails = [s_high]
-    if tail_kind == "highest_and_first":
-        s_first = reflection_of(rs, rs.simple_root(1))
-        assert compose(s_high, s_first) == compose(s_first, s_high), (
-            "tail reflections must commute (first simple root is orthogonal "
-            "to the highest root here)"
-        )
-        tails = [compose(s_high, s_first), compose(s_first, s_high)]
-    w0 = longest_element(rs)
-    return any(
-        compose(embedded, tail) == w0 or compose(tail, embedded) == w0
-        for tail in tails
-    )
+    embedded = [rs.simple_root(index_map[letter]) for letter in inner_word]
+    tail = [theta] + [highest_root_of(rs, K) for K in perp if K != J]
+    return reflection_product(rs, embedded + tail) == longest_element(rs)
 
 
 @dataclass(frozen=True)
@@ -374,13 +326,13 @@ def _tower_is_seeded(rs: RootSystem) -> bool:
 def parabolic_tower(rs: RootSystem) -> ParabolicTower:
     """The dominance tower of supports behind the canonical decomposition.
 
-    The tower lists the chain-factor supports in ascending order; when the
-    decomposition leads with a lone simple factor that nests inside the
-    smallest chain support, that singleton is prepended as the seed.  The
-    seed is always the first simple factor of the decomposition itself: in
-    E6 this is {4} (the branch node), the only simple factor whose singleton
-    sits inside the smallest chain support {3,4,5} -- a seed taken from the
-    outer node 1 would not nest and is therefore not used.
+    The tower lists the chain-factor supports in ascending order, led in
+    some families by a seed: the singleton support of the decomposition's
+    first simple factor.  The seed is a per-family convention, not a nesting
+    rule.  It is present in odd A (the middle node), odd B and all C (node n),
+    E6 ({4}), E7 ({2}), F4 ({2}) and G2 ({1}).  It is absent in even A (no
+    simple factor), even B, D and E8, even where the first simple factor
+    lies inside the smallest chain support (B2, D3, D4, even D, E8).
     """
     dec = canonical_decomposition(rs)
     chains = [f.span for f in dec.factors if f.kind == "highest"]
@@ -433,3 +385,12 @@ def dn_orthogonality_pattern(rs: RootSystem) -> bool:
         if hits != expected:
             return False
     return True
+
+
+def _frame_suite(rs: RootSystem) -> bool:
+    """Check the coordinate-frame factorization: pairwise orthogonal roots
+    whose reflections multiply to the longest element."""
+    roots = epsilon_factorization(rs)
+    if not _pairwise_orthogonal(rs, roots):
+        return False
+    return reflection_product(rs, roots) == longest_element(rs)

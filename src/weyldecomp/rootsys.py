@@ -58,7 +58,7 @@ class RootSystemType:
 def parse_type(text: str) -> RootSystemType:
     """Parse a type string such as ``"F4"`` or ``"A5"`` into a RootSystemType."""
     fam, digits = text[:1], text[1:]
-    if fam not in "ABCDEFG" or not digits.isdigit():
+    if fam not in "ABCDEFG" or not (digits.isascii() and digits.isdigit()):
         raise InvalidType(f"cannot parse root-system type {text!r}")
     return RootSystemType(fam, int(digits))
 
@@ -241,24 +241,27 @@ def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
     return q
 
 
-def _adjacent(rs: RootSystem, i: int, j: int) -> bool:
-    return i != j and rs.gram2[i - 1][j - 1] != 0
+def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
+    """The connected components of the subdiagram on the given simple-root
+    indices, each ascending, ordered by their smallest index."""
+    rest = set(indices)
+    components = []
+    while rest:
+        start = min(rest)
+        rest.discard(start)
+        seen = [start]
+        for i in seen:
+            row = rs.gram2[i - 1]
+            linked = {j for j in rest if row[j - 1]}
+            rest -= linked
+            seen.extend(linked)
+        components.append(tuple(sorted(seen)))
+    return components
 
 
 def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
     """True iff the given simple-root indices span a connected subdiagram."""
-    nodes = set(indices)
-    if not nodes:
-        return False
-    seen = {min(nodes)}
-    frontier = [min(nodes)]
-    while frontier:
-        i = frontier.pop()
-        for j in nodes - seen:
-            if _adjacent(rs, i, j):
-                seen.add(j)
-                frontier.append(j)
-    return seen == nodes
+    return len(_components(rs, indices)) == 1
 
 
 def _check_index_set(rs: RootSystem, J) -> tuple[int, ...]:

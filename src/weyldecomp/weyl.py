@@ -53,6 +53,15 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
+def reflection_product(rs: RootSystem, roots) -> Matrix:
+    """The product s_r1 . s_r2 ... of the reflections in the given roots,
+    multiplied left to right (so the last root's reflection acts first)."""
+    m = identity_matrix(rs.rank)
+    for r in roots:
+        m = compose(m, reflection_of(rs, r))
+    return m
+
+
 @lru_cache(maxsize=None)
 def _simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
     return tuple(reflection_of(rs, rs.simple_root(i)) for i in range(1, rs.rank + 1))

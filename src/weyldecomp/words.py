@@ -150,3 +150,42 @@ def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
     s_tau = reflection_of(rs, tau)
     literal: Matrix = compose(compose(s_delta, s_tau), s_delta)
     return reflection_of(rs, conjugated_root(rs, delta, tau)) == literal
+
+
+def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
+    """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named)."""
+    refl = {r: reflection_of(rs, r) for r in rs.positive_roots}
+    pairs = 0
+    named = 0
+    for a in rs.positive_roots:
+        for b in rs.positive_roots:
+            if a == b:
+                continue
+            pairs += 1
+            conj = conjugated_root(rs, a, b)
+            literal = compose(compose(refl[a], refl[b]), refl[a])
+            if refl[conj] != literal:
+                return False, pairs, named
+            try:
+                case = classify_conjugation(rs, a, b)
+            except Orthogonal:
+                if conj != b:
+                    return False, pairs, named
+                continue
+            if case is not None:
+                named += 1
+                if predicted_conjugate(rs, a, b, case) != conj:
+                    return False, pairs, named
+    return True, pairs, named
+
+
+def _interval_suite(rs: RootSystem) -> tuple[bool, int]:
+    """Check both interval identities for every 1 <= k < n <= rank; return
+    (ok, pairs checked)."""
+    checked = 0
+    for n in range(2, rs.rank + 1):
+        for k in range(1, n):
+            checked += 1
+            if not (check_lambda_v(rs, k, n) and check_permutation_lemma(rs, k, n)):
+                return False, checked
+    return True, checked

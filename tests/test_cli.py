@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from weyldecomp.cli import run
 from weyldecomp.decompose import (
@@ -9,6 +12,7 @@ from weyldecomp.decompose import (
     decomposition_from_roots,
     parabolic_tower,
 )
+from weyldecomp.errors import InvalidType
 from weyldecomp.rootsys import system
 from weyldecomp.weyl import classify_longest
 
@@ -265,3 +269,23 @@ def test_one_based_indices_in_json():
     payload = json.loads(out)
     supports = [f["support"] for f in payload["factors"] if f["kind"] == "highest"]
     assert supports == [[2, 3], [1, 2, 3]]
+
+
+def test_type_digits_must_be_ascii():
+    # U+0663 ARABIC-INDIC DIGIT THREE and U+FF13 FULLWIDTH DIGIT THREE
+    for text in ("A\u0663", "A\uff13"):
+        with pytest.raises(InvalidType):
+            system(text)
+        code, out, err = invoke("info", "--type", text)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+EXPORT_GOLDENS = json.loads(
+    (Path(__file__).parent / "fixtures" / "export_goldens.json").read_text()
+)
+
+
+@pytest.mark.parametrize("type_name", sorted(EXPORT_GOLDENS))
+def test_export_matches_golden(type_name):
+    assert invoke("export", "--type", type_name) == (0, EXPORT_GOLDENS[type_name], "")
