@@ -32,11 +32,10 @@ from .rootsys import (
 )
 from .weyl import (
     Matrix,
-    compose,
+    _reflect,
     identity_matrix,
     longest_element,
     reduced_word_of,
-    reflection_of,
     reflection_product,
 )
 
@@ -201,22 +200,14 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
 
 
 def _candidate_pool(rs: RootSystem) -> list[Root]:
-    """Highest roots of all connected standard parabolics, deduplicated.
+    """Highest roots of all connected standard parabolics, by height.
 
-    Each pool root is recovered exactly once since its support determines it.
+    Every root has a connected support, and the highest root of a connected
+    parabolic has full support, so the highest root of each support is the
+    last root listed with that support.
     """
-    pool: list[Root] = []
-    seen: set[Root] = set()
-    n = rs.rank
-    for mask in range(1, 1 << n):
-        J = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        if not is_connected(rs, J):
-            continue
-        r = highest_root_of(rs, J)
-        if support(r) == J and r not in seen:
-            seen.add(r)
-            pool.append(r)
-    return sorted(pool, key=lambda r: (sum(r), r))
+    pool = {support(r): r for r in rs.positive_roots}
+    return sorted(pool.values(), key=lambda r: (sum(r), r))
 
 
 def enumerate_max_orthogonal(
@@ -241,7 +232,6 @@ def enumerate_max_orthogonal(
         )
     pool = _candidate_pool(rs)
     w0 = longest_element(rs)
-    refl = {r: reflection_of(rs, r) for r in pool}
     results: list[tuple[Root, ...]] = []
 
     def extend(start: int, chosen: list[Root], product: Matrix) -> None:
@@ -260,7 +250,7 @@ def enumerate_max_orthogonal(
                 if not comparable:
                     continue
             chosen.append(r)
-            extend(idx + 1, chosen, compose(product, refl[r]))
+            extend(idx + 1, chosen, _reflect(rs, product, r))
             chosen.pop()
 
     extend(0, [], identity_matrix(rs.rank))

@@ -144,13 +144,22 @@ def _gram2_for(t: RootSystemType) -> Matrix:
     return tuple(tuple(row) for row in g)
 
 
-def _pairing2_raw(gram2: Matrix, x: Root, y: Root) -> int:
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = gram2[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-    return total
+def _coroot(gram2: Matrix, a: Root) -> Root:
+    """The Cartan integers <a_j, a-check> = 2*(a_j, a)/(a, a), j = 1..n, of a
+    root a: its coroot in the basis dual to the simple roots, so that
+    <x, a-check> is the dot product of x with it."""
+    ga = [sum(g * c for g, c in zip(row, a) if c) for row in gram2]
+    den = sum(c * v for c, v in zip(a, ga))
+    out = []
+    for v in ga:
+        q, rem = divmod(2 * v, den)
+        assert rem == 0, "Cartan integer must be exact for lattice vectors"
+        out.append(q)
+    return tuple(out)
+
+
+def _dot(x: Root, y: Root) -> int:
+    return sum(a * b for a, b in zip(x, y))
 
 
 def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
@@ -162,6 +171,7 @@ def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
     q >= 1.  Ordering is by height, ties broken lexicographically.
     """
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    coroots = [_coroot(gram2, a) for a in simples]
     known: set[Root] = set(simples)
     ordered: list[Root] = sorted(simples)
     current = list(simples)
@@ -177,11 +187,7 @@ def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
                 while z in known:
                     p += 1
                     z = tuple(zc - ac for zc, ac in zip(z, a))
-                num = 2 * _pairing2_raw(gram2, a, x)
-                den = _pairing2_raw(gram2, a, a)
-                cartan, rem = divmod(num, den)
-                assert rem == 0
-                if p - cartan >= 1:
+                if p - _dot(x, coroots[i]) >= 1:
                     found.add(y)
         current = sorted(found)
         ordered.extend(current)
@@ -227,18 +233,20 @@ def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
         raise DimensionMismatch(
             f"vectors of length {len(x)} and {len(y)} in a rank-{rs.rank} system"
         )
-    return _pairing2_raw(rs.gram2, x, y)
+    total = 0
+    for xi, row in zip(x, rs.gram2):
+        if xi:
+            total += xi * sum(g * yj for g, yj in zip(row, y) if yj)
+    return total
 
 
 def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
     """The integer 2*(a, x)/(a, a) for a root ``a`` and lattice vector ``x``."""
     if not is_root(rs, a):
         raise NotARoot(f"{a} is not a root of {rs.type}")
-    num = 2 * pairing2(rs, a, x)
-    den = pairing2(rs, a, a)
-    q, rem = divmod(num, den)
-    assert rem == 0, "Cartan integer must be exact for lattice vectors"
-    return q
+    if len(x) != rs.rank:
+        raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
+    return _dot(x, _coroot(rs.gram2, a))
 
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
@@ -284,13 +292,7 @@ def highest_root_of(rs: RootSystem, J) -> Root:
     if not is_connected(rs, indices):
         raise DisconnectedSubset(f"index set {list(indices)} is disconnected in {rs.type}")
     members = set(indices)
-    best: Root | None = None
-    for r in rs.positive_roots:
-        if all(i in members for i in support(r)):
-            if best is None or height(r) > height(best):
-                best = r
-    assert best is not None
-    return best
+    return next(r for r in reversed(rs.positive_roots) if members.issuperset(support(r)))
 
 
 def dominance_leq(x: Root, y: Root) -> bool:
@@ -300,47 +302,34 @@ def dominance_leq(x: Root, y: Root) -> bool:
     return all(yc - xc >= 0 for xc, yc in zip(x, y))
 
 
-def _cartan_entry(rs: RootSystem, i: int, j: int) -> int:
-    """Cartan integer <a_i, a_j-check> = 2*(a_i, a_j)/(a_j, a_j)."""
-    num = 2 * rs.gram2[i - 1][j - 1]
-    den = rs.gram2[j - 1][j - 1]
-    q, rem = divmod(num, den)
-    assert rem == 0
-    return q
-
-
-def _diagram_bijections(inner: RootSystem, outer: RootSystem, nodes: tuple[int, ...]):
-    """All maps p -> nodes[...] with matching Cartan integers, as tuples."""
+def _diagram_bijection(inner: RootSystem, outer: RootSystem, nodes: tuple[int, ...]):
+    """The lexicographically smallest map p -> nodes[...] with matching
+    Cartan integers, as a tuple, or None.  The walk tries nodes in ascending
+    order, so its first complete map is the smallest."""
     k = inner.rank
-    results: list[tuple[int, ...]] = []
+    c_in = [_coroot(inner.gram2, inner.simple_root(q)) for q in range(1, k + 1)]
+    c_out = {j: _coroot(outer.gram2, outer.simple_root(j)) for j in nodes}
     assignment: list[int] = []
-    used: set[int] = set()
 
-    def extend(p: int) -> None:
+    def extend(p: int) -> tuple[int, ...] | None:
         if p > k:
-            results.append(tuple(assignment))
-            return
+            return tuple(assignment)
         for j in nodes:
-            if j in used:
+            if j in assignment:
                 continue
-            ok = True
-            for q in range(1, p):
-                jq = assignment[q - 1]
-                if (
-                    _cartan_entry(inner, p, q) != _cartan_entry(outer, j, jq)
-                    or _cartan_entry(inner, q, p) != _cartan_entry(outer, jq, j)
-                ):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                c_in[q - 1][p - 1] == c_out[jq][j - 1]
+                and c_in[p - 1][q - 1] == c_out[j][jq - 1]
+                for q, jq in enumerate(assignment, start=1)
+            ):
                 assignment.append(j)
-                used.add(j)
-                extend(p + 1)
+                found = extend(p + 1)
+                if found:
+                    return found
                 assignment.pop()
-                used.remove(j)
+        return None
 
-    extend(1)
-    return results
+    return extend(1)
 
 
 def parabolic_embedding(rs: RootSystem, J) -> tuple[RootSystem, dict[int, int]]:
@@ -365,10 +354,9 @@ def parabolic_embedding(rs: RootSystem, J) -> tuple[RootSystem, dict[int, int]]:
         except InvalidType:
             continue
         inner = build_root_system(t)
-        matches = _diagram_bijections(inner, rs, indices)
-        if matches:
-            best = min(matches)
-            return inner, {p + 1: j for p, j in enumerate(best)}
+        match = _diagram_bijection(inner, rs, indices)
+        if match:
+            return inner, {p + 1: j for p, j in enumerate(match)}
     raise UnrecognizedDiagram(
         f"subdiagram on {list(indices)} of {rs.type} matches no admissible type"
     )

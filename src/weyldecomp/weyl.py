@@ -3,15 +3,18 @@
 An element is stored as a rank x rank tuple-of-tuples, row-major, whose i-th
 column is the image of the i-th simple root.  Matrices are hashable, so they
 serve directly as dictionary keys in the reduced-word counter.  Every element
-preserves the doubled Gram matrix: ``M^T G M == G``.
+preserves the doubled Gram matrix: ``M^T G M == G``.  Multiplying by a
+reflection is a rank-one update, ``M.s_a == M - (M a) c^T`` with ``c_j`` the
+Cartan integer <a_j, a-check>, so no walk ever forms a dense product.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
-from .rootsys import Matrix, Root, RootSystem, cartan_integer, is_root, negate, pairing2
+from .rootsys import Matrix, Root, RootSystem, _coroot, is_root, negate, pairing2
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -40,17 +43,14 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
-def reflection_of(rs: RootSystem, a: Root) -> Matrix:
-    """The reflection through the hyperplane orthogonal to the root a."""
-    if not is_root(rs, a):
-        raise NotARoot(f"{a} is not a root of {rs.type}")
-    n = rs.rank
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        c = cartan_integer(rs, e, a)
-        cols.append(tuple(e[j] - c * a[j] for j in range(n)))
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
+def _reflect(rs: RootSystem, m: Matrix, a: Root) -> Matrix:
+    """The product m.s_a, as the rank-one update m - (m a) c^T: s_a sends
+    a_j to a_j - c_j a, with c the Cartan integers of the root a."""
+    c = _coroot(rs.gram2, a)
+    return tuple(
+        tuple(e - k * cj for e, cj in zip(row, c)) if k else row
+        for row, k in zip(m, apply_matrix(m, a))
+    )
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
@@ -58,28 +58,30 @@ def reflection_product(rs: RootSystem, roots) -> Matrix:
     multiplied left to right (so the last root's reflection acts first)."""
     m = identity_matrix(rs.rank)
     for r in roots:
-        m = compose(m, reflection_of(rs, r))
+        if not is_root(rs, r):
+            raise NotARoot(f"{r} is not a root of {rs.type}")
+        m = _reflect(rs, m, r)
     return m
 
 
-@lru_cache(maxsize=None)
-def _simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
-    return tuple(reflection_of(rs, rs.simple_root(i)) for i in range(1, rs.rank + 1))
-
-
-def simple_reflection(rs: RootSystem, i: int) -> Matrix:
-    """The simple reflection for the i-th simple root (1-based)."""
-    if not 1 <= i <= rs.rank:
-        raise BadLetter(f"letter {i} outside 1..{rs.rank}")
-    return _simple_reflections(rs)[i - 1]
+def reflection_of(rs: RootSystem, a: Root) -> Matrix:
+    """The reflection through the hyperplane orthogonal to the root a."""
+    return reflection_product(rs, [a])
 
 
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first."""
     m = identity_matrix(rs.rank)
     for letter in word:
-        m = compose(m, simple_reflection(rs, letter))
+        if not 1 <= letter <= rs.rank:
+            raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
+        m = _reflect(rs, m, rs.simple_root(letter))
     return m
+
+
+def simple_reflection(rs: RootSystem, i: int) -> Matrix:
+    """The simple reflection for the i-th simple root (1-based)."""
+    return evaluate_word(rs, [i])
 
 
 def _column(m: Matrix, i: int) -> Root:
@@ -127,7 +129,7 @@ def longest_element(rs: RootSystem) -> Matrix:
     m = identity_matrix(rs.rank)
     for _ in range(len(rs.positive_roots)):
         i = next(j for j in range(1, rs.rank + 1) if _sends_positive(m, j))
-        m = compose(m, simple_reflection(rs, i))
+        m = _reflect(rs, m, rs.simple_root(i))
     assert not any(_sends_positive(m, j) for j in range(1, rs.rank + 1))
     return m
 
@@ -169,9 +171,20 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
         if len(letters) >= guard:
             raise ValueError("matrix is not a Weyl group element")
         i = next(j for j in range(1, rs.rank + 1) if not _sends_positive(m, j))
-        m = compose(m, simple_reflection(rs, i))
+        m = _reflect(rs, m, rs.simple_root(i))
         letters.append(i)
     return tuple(reversed(letters))
+
+
+def _group_order(rs: RootSystem) -> int:
+    """|W| as the product of e + 1 over the exponents e, which form the
+    partition conjugate to the numbers of positive roots of each height
+    (Kostant)."""
+    per_height = Counter(sum(r) for r in rs.positive_roots).values()
+    order = 1
+    for i in range(1, rs.rank + 1):
+        order *= 1 + sum(1 for k in per_height if k >= i)
+    return order
 
 
 def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) -> int:
@@ -179,17 +192,23 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
 
     ``count(identity) == 1`` and ``count(w)`` sums ``count(w.S_i)`` over the
     descents i of w.  The memo is bounded by ``state_bound`` distinct group
-    elements; exceeding it raises TooLarge.
+    elements; exceeding it raises TooLarge.  For the longest element the memo
+    holds the whole group, so an order above the bound is refused at once.
     """
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    if m == longest_element(rs) and (order := _group_order(rs)) > state_bound:
+        raise TooLarge(
+            f"reduced-word search for the longest element of {rs.type} needs "
+            f"{order} states, over the bound of {state_bound}"
+        )
     memo: dict[Matrix, int] = {identity_matrix(rs.rank): 1}
 
     def count(w: Matrix) -> int:
         cached = memo.get(w)
         if cached is not None:
             return cached
-        total = sum(count(compose(w, simple_reflection(rs, i))) for i in descents(rs, w))
+        total = sum(count(_reflect(rs, w, rs.simple_root(i))) for i in descents(rs, w))
         if len(memo) >= state_bound:
             raise TooLarge(f"reduced-word search exceeded {state_bound} states")
         memo[w] = total

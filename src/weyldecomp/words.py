@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional
-from .rootsys import Root, RootSystem, is_root, negate, pairing2
+from .rootsys import Root, RootSystem, _coroot, _dot, is_root, negate, pairing2
 from .weyl import Matrix, compose, evaluate_word, reflection_of
 
 
@@ -31,7 +31,7 @@ def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     for x in (delta, tau):
         if not is_root(rs, x):
             raise NotARoot(f"{x} is not a root of {rs.type}")
-    c = 2 * pairing2(rs, delta, tau) // pairing2(rs, delta, delta)
+    c = _dot(tau, _coroot(rs.gram2, delta))
     image = tuple(t - c * d for t, d in zip(tau, delta))
     return positive_representative(rs, image)
 

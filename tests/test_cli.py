@@ -281,6 +281,12 @@ def test_type_digits_must_be_ascii():
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_count_words_beyond_the_state_bound_is_refused():
+    code, out, err = invoke("count-words", "--type", "A32")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 EXPORT_GOLDENS = json.loads(
     (Path(__file__).parent / "fixtures" / "export_goldens.json").read_text()
 )

@@ -9,6 +9,7 @@ from weyldecomp import (
     NotARoot,
     TooLarge,
     apply_matrix,
+    cartan_integer,
     classify_longest,
     compose,
     count_reduced_words,
@@ -23,6 +24,7 @@ from weyldecomp import (
     simple_reflection,
     system,
 )
+from weyldecomp.weyl import _group_order
 
 from util import FULL_SWEEP, GROUP_ORDER, brute_force_reduced_word_count, generate_group
 
@@ -40,6 +42,20 @@ def test_reflection_is_involutive_and_form_preserving():
 def test_reflection_requires_a_root():
     with pytest.raises(NotARoot):
         reflection_of(system("A2"), (1, 2))
+
+
+def test_reflection_columns_follow_the_definition():
+    # column j of s_r is s_r(a_j) = a_j - <a_j, r-check> r
+    for t in FULL_SWEEP:
+        rs = system(t)
+        for r in rs.positive_roots:
+            s = reflection_of(rs, r)
+            for j in range(1, rs.rank + 1):
+                a_j = rs.simple_root(j)
+                c = cartan_integer(rs, a_j, r)
+                assert tuple(row[j - 1] for row in s) == tuple(
+                    x - c * y for x, y in zip(a_j, r)
+                )
 
 
 def test_simple_reflection_columns():
@@ -225,3 +241,15 @@ def test_count_reduced_words_state_bound():
     a4 = system("A4")
     with pytest.raises(TooLarge):
         count_reduced_words(a4, longest_element(a4), state_bound=10)
+
+
+def test_group_order_from_root_heights():
+    for t, order in GROUP_ORDER.items():
+        assert _group_order(system(t)) == order
+    assert _group_order(system("E8")) == 696729600
+
+
+def test_count_reduced_words_refuses_large_longest_element_at_once():
+    e7 = system("E7")
+    with pytest.raises(TooLarge, match="2903040"):
+        count_reduced_words(e7, longest_element(e7))
