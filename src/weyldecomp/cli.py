@@ -8,6 +8,7 @@ errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -202,13 +203,7 @@ def _cmd_decompose(ns) -> tuple[int, str]:
 def _cmd_verify(ns) -> tuple[int, str]:
     rs = ns.rs
     report = verify_decomposition(rs, canonical_decomposition(rs))
-    checks = {
-        "orthogonal": report.orthogonal,
-        "highest_root_ok": report.highest_root_ok,
-        "chain_ok": report.chain_ok,
-        "product_is_w0": report.product_is_w0,
-        "count_ok": report.count_ok,
-    }
+    checks = dataclasses.asdict(report)
     ok = report.all_ok()
     code = 0 if ok else 1
     if ns.json:

@@ -162,37 +162,29 @@ def _dot(x: Root, y: Root) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
-    """Enumerate all positive roots by height-by-height closure.
+def _ascents(coroots, x: Root):
+    """s_i(x) = x - <x, a_i-check> a_i for every simple root a_i with
+    <x, a_i-check> < 0, given the simple coroots: the simple reflections
+    that move x up, towards the dominant chamber."""
+    for i, c in enumerate(coroots):
+        k = _dot(x, c)
+        if k < 0:
+            yield x[:i] + (x[i] - k,) + x[i + 1 :]
 
-    A candidate x + a_i is accepted by the root-string test: with p the
-    largest k such that x - k*a_i is a known root, the string through x has
-    q = p - <x, a_i-check> further steps upward, and x + a_i is a root iff
-    q >= 1.  Ordering is by height, ties broken lexicographically.
+
+def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
+    """Enumerate all positive roots as the closure of the simple roots under
+    upward simple reflections: a non-simple positive root r has some
+    <r, a_i-check> > 0, and s_i(r) is a lower positive root that moves up to
+    r.  Ordering is by height, ties broken lexicographically.
     """
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     coroots = [_coroot(gram2, a) for a in simples]
-    known: set[Root] = set(simples)
-    ordered: list[Root] = sorted(simples)
-    current = list(simples)
-    while current:
-        found: set[Root] = set()
-        for x in current:
-            for i, a in enumerate(simples):
-                y = tuple(xc + ac for xc, ac in zip(x, a))
-                if y in known or y in found:
-                    continue
-                p = 0
-                z = tuple(xc - ac for xc, ac in zip(x, a))
-                while z in known:
-                    p += 1
-                    z = tuple(zc - ac for zc, ac in zip(z, a))
-                if p - _dot(x, coroots[i]) >= 1:
-                    found.add(y)
-        current = sorted(found)
-        ordered.extend(current)
-        known.update(found)
-    return tuple(ordered)
+    roots, new = set(simples), simples
+    while new:
+        new = {y for x in new for y in _ascents(coroots, x)} - roots
+        roots |= new
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
 @lru_cache(maxsize=None)

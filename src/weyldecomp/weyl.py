@@ -1,11 +1,10 @@
 """Weyl group elements as exact integer matrices in the simple-root basis.
 
 An element is stored as a rank x rank tuple-of-tuples, row-major, whose i-th
-column is the image of the i-th simple root.  Matrices are hashable, so they
-serve directly as dictionary keys in the reduced-word counter.  Every element
-preserves the doubled Gram matrix: ``M^T G M == G``.  Multiplying by a
-reflection is a rank-one update, ``M.s_a == M - (M a) c^T`` with ``c_j`` the
-Cartan integer <a_j, a-check>, so no walk ever forms a dense product.
+column is the image of the i-th simple root.  Every element preserves the
+doubled Gram matrix: ``M^T G M == G``.  Multiplying by a reflection is a
+rank-one update, ``M.s_a == M - (M a) c^T`` with ``c_j`` the Cartan integer
+<a_j, a-check>, so no walk ever forms a dense product.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
-from .rootsys import Matrix, Root, RootSystem, _coroot, is_root, negate, pairing2
+from .rootsys import Matrix, Root, RootSystem, _ascents, _coroot, is_root, negate, pairing2
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -96,7 +95,7 @@ def _sends_positive(m: Matrix, i: int) -> bool:
             return True
         if c < 0:
             return False
-    raise AssertionError("zero column in a Weyl matrix")
+    raise ValueError("matrix is not a Weyl group element")
 
 
 def length_of(rs: RootSystem, m: Matrix) -> int:
@@ -168,9 +167,9 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     ident = identity_matrix(rs.rank)
     guard = len(rs.positive_roots) + 1
     while m != ident:
-        if len(letters) >= guard:
+        i = next((j for j in range(1, rs.rank + 1) if not _sends_positive(m, j)), None)
+        if i is None or len(letters) >= guard:
             raise ValueError("matrix is not a Weyl group element")
-        i = next(j for j in range(1, rs.rank + 1) if not _sends_positive(m, j))
         m = _reflect(rs, m, rs.simple_root(i))
         letters.append(i)
     return tuple(reversed(letters))
@@ -188,12 +187,15 @@ def _group_order(rs: RootSystem) -> int:
 
 
 def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) -> int:
-    """The number of reduced words for m, by memoized descent recursion.
+    """The number of reduced words for m, counted one length at a time.
 
-    ``count(identity) == 1`` and ``count(w)`` sums ``count(w.S_i)`` over the
-    descents i of w.  The memo is bounded by ``state_bound`` distinct group
-    elements; exceeding it raises TooLarge.  For the longest element the memo
-    holds the whole group, so an order above the bound is refused at once.
+    An element u is keyed by the vector u(2 rho), which determines u because
+    2 rho, the sum of the positive roots, is regular.  Its left descents are
+    the simple reflections that move that vector up, so each layer maps every
+    vector to its ascents and adds up the ways; after l(m) layers from m(2 rho)
+    only 2 rho is left.  The distinct elements visited are bounded by
+    ``state_bound``; exceeding it raises TooLarge.  For the longest element
+    they are the whole group, so an order above the bound is refused at once.
     """
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
@@ -202,19 +204,20 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
-    memo: dict[Matrix, int] = {identity_matrix(rs.rank): 1}
-
-    def count(w: Matrix) -> int:
-        cached = memo.get(w)
-        if cached is not None:
-            return cached
-        total = sum(count(_reflect(rs, w, rs.simple_root(i))) for i in descents(rs, w))
-        if len(memo) >= state_bound:
+    coroots = [_coroot(rs.gram2, rs.simple_root(i)) for i in range(1, rs.rank + 1)]
+    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
+    layer = Counter({apply_matrix(m, two_rho): 1})
+    states = 1
+    for _ in reduced_word_of(rs, m):
+        ways: Counter[Root] = Counter()
+        for x, k in layer.items():
+            for y in _ascents(coroots, x):
+                ways[y] += k
+        layer = ways
+        states += len(layer)
+        if states > state_bound:
             raise TooLarge(f"reduced-word search exceeded {state_bound} states")
-        memo[w] = total
-        return total
-
-    return count(m)
+    return layer[two_rho]
 
 
 def preserves_form(rs: RootSystem, m: Matrix) -> bool:

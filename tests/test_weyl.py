@@ -26,7 +26,13 @@ from weyldecomp import (
 )
 from weyldecomp.weyl import _group_order
 
-from util import FULL_SWEEP, GROUP_ORDER, brute_force_reduced_word_count, generate_group
+from util import (
+    FULL_SWEEP,
+    GROUP_ORDER,
+    brute_force_reduced_word_count,
+    generate_group,
+    syt_count,
+)
 
 
 def test_reflection_is_involutive_and_form_preserving():
@@ -253,3 +259,55 @@ def test_count_reduced_words_refuses_large_longest_element_at_once():
     e7 = system("E7")
     with pytest.raises(TooLarge, match="2903040"):
         count_reduced_words(e7, longest_element(e7))
+
+
+def test_count_reduced_words_of_every_element():
+    # Second route: count length-decreasing paths m -> m.s_i -> ... -> I over
+    # the BFS depth map, and collect the elements each walk passes through,
+    # whose number is what ``state_bound`` limits.
+    for t in ["A4", "B3", "D4", "G2"]:
+        rs = system(t)
+        depth = generate_group(rs)
+        gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+        paths = {}
+        below = {}
+        for m in sorted(depth, key=depth.get):
+            lower = [mg for mg in (compose(m, g) for g in gens) if depth[mg] < depth[m]]
+            paths[m] = sum(paths[mg] for mg in lower) if lower else 1
+            below[m] = frozenset([m]).union(*(below[mg] for mg in lower))
+        for m, expected in paths.items():
+            assert count_reduced_words(rs, m, state_bound=len(below[m])) == expected, t
+            if depth[m]:
+                with pytest.raises(TooLarge):
+                    count_reduced_words(rs, m, state_bound=len(below[m]) - 1)
+
+
+def test_longest_element_word_counts_equal_tableau_counts():
+    # Stanley (1984): staircase tableaux in A_n; Haiman (1992): n x n square
+    # tableaux in B_n and C_n.
+    for n in range(1, 7):
+        rs = system(f"A{n}")
+        staircase = tuple(range(n, 0, -1))
+        assert count_reduced_words(rs, longest_element(rs)) == syt_count(staircase), n
+    for t in [f"{fam}{n}" for fam in "BC" for n in range(2, 6)]:
+        rs = system(t)
+        square = (rs.rank,) * rs.rank
+        assert count_reduced_words(rs, longest_element(rs)) == syt_count(square), t
+
+
+def test_non_elements_raise_value_error():
+    a2 = system("A2")
+    for m in [((0, 1), (1, 0)), ((-1, 0), (0, -1)), ((2, 0), (0, 2)), ((0, 0), (0, 0))]:
+        with pytest.raises(ValueError, match="not a Weyl group element"):
+            reduced_word_of(a2, m)
+        with pytest.raises(ValueError, match="not a Weyl group element"):
+            count_reduced_words(a2, m)
+    with pytest.raises(ValueError, match="not a Weyl group element"):
+        descents(a2, ((0, 0), (0, 0)))
+
+
+def test_count_reduced_words_of_a_long_element_hits_the_state_bound():
+    a32 = system("A32")
+    m = compose(longest_element(a32), simple_reflection(a32, 1))
+    with pytest.raises(TooLarge, match="exceeded 1000 states"):
+        count_reduced_words(a32, m, state_bound=1000)

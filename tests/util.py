@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import factorial
 
 from weyldecomp import (
     Matrix,
@@ -40,6 +41,16 @@ GROUP_ORDER = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
     "B2": 8, "B3": 48, "C3": 48, "D4": 192, "G2": 12,
 }
+
+
+def syt_count(shape) -> int:
+    """Standard Young tableaux of a partition shape, by the hook-length formula."""
+    column_heights = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (column_heights[j] - i) - 1
+    return factorial(sum(shape)) // hooks
 
 
 def brute_force_reduced_word_count(rs: RootSystem, m: Matrix, length: int) -> int:
