@@ -46,19 +46,7 @@ def _type_arg(text: str) -> RootSystem:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weyldecomp", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-    verbs = {
-        "info": "basic facts about the root system",
-        "w0": "the longest element and its classification",
-        "decompose": "the canonical orthogonal decomposition",
-        "verify": "check the canonical decomposition (exit 0 iff all pass)",
-        "unique": "enumerate all qualifying decompositions (exit 0 iff exactly one)",
-        "tower": "the ascending parabolic chain behind the decomposition",
-        "recursion": "check the cross-rank recursion (exit 0 iff it holds)",
-        "count-words": "count reduced words for the longest element",
-        "check-identities": "run the per-family identity suites (exit 0 iff all pass)",
-        "export": "emit the full JSON document for the system",
-    }
-    for name, help_text in verbs.items():
+    for name, (help_text, _) in _VERBS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--type",
@@ -315,17 +303,24 @@ def _cmd_export(ns) -> tuple[int, str]:
     return 0, _dumps(payload)
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "w0": _cmd_w0,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-    "unique": _cmd_unique,
-    "tower": _cmd_tower,
-    "recursion": _cmd_recursion,
-    "count-words": _cmd_count_words,
-    "check-identities": _cmd_check_identities,
-    "export": _cmd_export,
+# Each verb's help line and handler, in the order --help lists them.
+_VERBS = {
+    "info": ("basic facts about the root system", _cmd_info),
+    "w0": ("the longest element and its classification", _cmd_w0),
+    "decompose": ("the canonical orthogonal decomposition", _cmd_decompose),
+    "verify": ("check the canonical decomposition (exit 0 iff all pass)", _cmd_verify),
+    "unique": (
+        "enumerate all qualifying decompositions (exit 0 iff exactly one)",
+        _cmd_unique,
+    ),
+    "tower": ("the ascending parabolic chain behind the decomposition", _cmd_tower),
+    "recursion": ("check the cross-rank recursion (exit 0 iff it holds)", _cmd_recursion),
+    "count-words": ("count reduced words for the longest element", _cmd_count_words),
+    "check-identities": (
+        "run the per-family identity suites (exit 0 iff all pass)",
+        _cmd_check_identities,
+    ),
+    "export": ("emit the full JSON document for the system", _cmd_export),
 }
 
 
@@ -339,7 +334,7 @@ def run(argv) -> tuple[int, str, str]:
     except SystemExit as exc:  # --help prints directly and exits
         return int(exc.code or 0), "", ""
     try:
-        code, out = _HANDLERS[ns.verb](ns)
+        code, out = _VERBS[ns.verb][1](ns)
     except WeylError as exc:
         return 1, "", f"error: {exc}\n"
     return code, out, ""

@@ -22,9 +22,9 @@ from .rootsys import (
     Root,
     RootSystem,
     _components,
+    _highest_by_support,
     dominance_leq,
     highest_root_of,
-    is_connected,
     is_root,
     pairing2,
     parabolic_embedding,
@@ -94,9 +94,10 @@ def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
     them as later steps; the first step is the whole diagram's.  The thetas
     are the cascade's mutually orthogonal roots.
     """
+    top = _highest_by_support(rs)
     queue = [tuple(range(1, rs.rank + 1))]
     for J in queue:
-        theta = highest_root_of(rs, J)
+        theta = top[J]
         perp = _components(rs, [i for i in J if pairing2(rs, rs.simple_root(i), theta) == 0])
         queue.extend(perp)
         yield theta, perp
@@ -174,12 +175,8 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
 
     orthogonal = _pairwise_orthogonal(rs, roots)
 
-    highest_ok = True
-    for r in roots:
-        J = support(r)
-        if not is_connected(rs, J) or highest_root_of(rs, J) != r:
-            highest_ok = False
-            break
+    top = _highest_by_support(rs)
+    highest_ok = all(top[support(r)] == r for r in roots)
 
     non_simple = [r for r in roots if sum(r) > 1]
     chain_ok = all(
@@ -200,14 +197,16 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
 
 
 def _candidate_pool(rs: RootSystem) -> list[Root]:
-    """Highest roots of all connected standard parabolics, by height.
+    """Highest roots of all connected standard parabolics, by height."""
+    return sorted(_highest_by_support(rs).values(), key=lambda r: (sum(r), r))
 
-    Every root has a connected support, and the highest root of a connected
-    parabolic has full support, so the highest root of each support is the
-    last root listed with that support.
-    """
-    pool = {support(r): r for r in rs.positive_roots}
-    return sorted(pool.values(), key=lambda r: (sum(r), r))
+
+def _compatible(rs: RootSystem, x: Root, y: Root) -> bool:
+    """Whether two pool roots may be factors of one decomposition: they are
+    orthogonal, and comparable under dominance unless one of them is simple."""
+    return pairing2(rs, x, y) == 0 and (
+        sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
+    )
 
 
 def enumerate_max_orthogonal(
@@ -215,14 +214,15 @@ def enumerate_max_orthogonal(
 ) -> list[Decomposition]:
     """Exhaustively enumerate decompositions satisfying the structural checks.
 
-    Searches all sets of mutually orthogonal pool roots (highest roots of
-    connected standard parabolics) whose non-simple members form a dominance
-    chain and whose reflections multiply to the longest element, in any
-    admissible order; each qualifying set is reported once, factors ordered
-    simples-first then by ascending height, and the result list is itself
-    sorted by those factor sequences.  Refuses systems that are large in both
-    rank and root count: allowed when rank <= rank_bound or the positive root
-    count is <= size_bound.
+    Searches all sets of pool roots (highest roots of connected standard
+    parabolics) that are pairwise orthogonal, whose non-simple members form a
+    dominance chain, and whose reflections multiply to the longest element.
+    After each choice only the later candidates compatible with that root
+    stay, so no chosen root is tested twice.  Each qualifying set is reported
+    once, factors ordered simples-first then by ascending height, and the
+    result list is itself sorted by those factor sequences.  Refuses systems
+    that are large in both rank and root count: allowed when rank <=
+    rank_bound or the positive root count is <= size_bound.
     """
     npos = len(rs.positive_roots)
     if rs.rank > rank_bound and npos > size_bound:
@@ -230,30 +230,18 @@ def enumerate_max_orthogonal(
             f"{rs.type} has rank {rs.rank} > {rank_bound} and {npos} > {size_bound} "
             "positive roots; raise the bounds to search anyway"
         )
-    pool = _candidate_pool(rs)
     w0 = longest_element(rs)
     results: list[tuple[Root, ...]] = []
 
-    def extend(start: int, chosen: list[Root], product: Matrix) -> None:
+    def extend(cands: list[Root], chosen: tuple[Root, ...], product: Matrix) -> None:
         if product == w0:
-            results.append(tuple(chosen))
+            results.append(chosen)
             return  # a strict superset of reflections cannot multiply to w0 again
-        for idx in range(start, len(pool)):
-            r = pool[idx]
-            if any(pairing2(rs, r, c) != 0 for c in chosen):
-                continue
-            if sum(r) > 1:
-                comparable = all(
-                    sum(c) == 1 or dominance_leq(c, r) or dominance_leq(r, c)
-                    for c in chosen
-                )
-                if not comparable:
-                    continue
-            chosen.append(r)
-            extend(idx + 1, chosen, _reflect(rs, product, r))
-            chosen.pop()
+        for i, r in enumerate(cands):
+            later = [c for c in cands[i + 1 :] if _compatible(rs, r, c)]
+            extend(later, chosen + (r,), _reflect(rs, product, r))
 
-    extend(0, [], identity_matrix(rs.rank))
+    extend(_candidate_pool(rs), (), identity_matrix(rs.rank))
     decs = []
     for roots in sorted(
         sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r)) for roots in results

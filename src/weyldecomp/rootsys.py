@@ -20,6 +20,7 @@ from .errors import (
     DisconnectedSubset,
     InvalidType,
     NotARoot,
+    TooLarge,
     UnrecognizedDiagram,
 )
 
@@ -27,6 +28,10 @@ Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+# Largest rank build_root_system accepts: without a limit, the steeply growing
+# cost of a system and its w0 keeps a type such as A1000 running for minutes.
+_MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,10 @@ def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
 
 @lru_cache(maxsize=None)
 def build_root_system(t: RootSystemType) -> RootSystem:
-    """Construct (and cache) the root system of an admissible type."""
+    """Construct (and cache) the root system of an admissible type; a rank
+    above ``_MAX_RANK`` (64) raises TooLarge before any root is enumerated."""
+    if t.rank > _MAX_RANK:
+        raise TooLarge(f"{t} has rank {t.rank}, over the limit of {_MAX_RANK}")
     gram2 = _gram2_for(t)
     positive = _enumerate_positive_roots(gram2, t.rank)
     index = {r: i for i, r in enumerate(positive)}
@@ -264,12 +272,14 @@ def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
     return len(_components(rs, indices)) == 1
 
 
-def _check_index_set(rs: RootSystem, J) -> tuple[int, ...]:
+def _connected_index_set(rs: RootSystem, J) -> tuple[int, ...]:
     indices = tuple(sorted(set(J)))
     if not indices or any(not 1 <= i <= rs.rank for i in indices):
         raise DisconnectedSubset(
             f"index set {sorted(set(J))} is not a non-empty subset of 1..{rs.rank}"
         )
+    if not is_connected(rs, indices):
+        raise DisconnectedSubset(f"index set {list(indices)} is disconnected in {rs.type}")
     return indices
 
 
@@ -280,11 +290,14 @@ def highest_root_of(rs: RootSystem, J) -> Root:
     the unique root supported inside J that dominates every root supported
     inside J.
     """
-    indices = _check_index_set(rs, J)
-    if not is_connected(rs, indices):
-        raise DisconnectedSubset(f"index set {list(indices)} is disconnected in {rs.type}")
-    members = set(indices)
-    return next(r for r in reversed(rs.positive_roots) if members.issuperset(support(r)))
+    return _highest_by_support(rs)[_connected_index_set(rs, J)]
+
+
+def _highest_by_support(rs: RootSystem) -> dict[tuple[int, ...], Root]:
+    """The highest root of the connected standard parabolic on each support:
+    every root has a connected support, and the highest root of a connected
+    parabolic has full support, so it is the last root listed with it."""
+    return {support(r): r for r in rs.positive_roots}
 
 
 def dominance_leq(x: Root, y: Root) -> bool:
@@ -294,12 +307,13 @@ def dominance_leq(x: Root, y: Root) -> bool:
     return all(yc - xc >= 0 for xc, yc in zip(x, y))
 
 
-def _diagram_bijection(inner: RootSystem, outer: RootSystem, nodes: tuple[int, ...]):
-    """The lexicographically smallest map p -> nodes[...] with matching
-    Cartan integers, as a tuple, or None.  The walk tries nodes in ascending
-    order, so its first complete map is the smallest."""
-    k = inner.rank
-    c_in = [_coroot(inner.gram2, inner.simple_root(q)) for q in range(1, k + 1)]
+def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...]):
+    """The lexicographically smallest map p -> nodes[...] under which the
+    Cartan integers of ``gram2`` match those of ``outer``, as a tuple, or
+    None.  The walk tries nodes in ascending order, so its first complete map
+    is the smallest."""
+    k = len(gram2)
+    c_in = [_coroot(gram2, tuple(int(p == q) for p in range(k))) for q in range(k)]
     c_out = {j: _coroot(outer.gram2, outer.simple_root(j)) for j in nodes}
     assignment: list[int] = []
 
@@ -334,21 +348,18 @@ def parabolic_embedding(rs: RootSystem, J) -> tuple[RootSystem, dict[int, int]]:
     which keeps the result deterministic.
     """
     try:
-        indices = _check_index_set(rs, J)
+        indices = _connected_index_set(rs, J)
     except DisconnectedSubset as exc:
         raise UnrecognizedDiagram(str(exc)) from None
-    if not is_connected(rs, indices):
-        raise UnrecognizedDiagram(f"index set {list(indices)} is disconnected in {rs.type}")
     k = len(indices)
     for fam in "ABCDEFG":
         try:
             t = RootSystemType(fam, k)
         except InvalidType:
             continue
-        inner = build_root_system(t)
-        match = _diagram_bijection(inner, rs, indices)
+        match = _diagram_bijection(_gram2_for(t), rs, indices)
         if match:
-            return inner, {p + 1: j for p, j in enumerate(match)}
+            return build_root_system(t), {p + 1: j for p, j in enumerate(match)}
     raise UnrecognizedDiagram(
         f"subdiagram on {list(indices)} of {rs.type} matches no admissible type"
     )

@@ -106,7 +106,8 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
     for r in rs.positive_roots:
         image = apply_matrix(m, r)
         if image not in rs.root_index:
-            assert negate(image) in rs.root_index
+            if negate(image) not in rs.root_index:
+                raise ValueError("matrix is not a Weyl group element")
             count += 1
     return count
 

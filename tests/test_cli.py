@@ -12,7 +12,7 @@ from weyldecomp.decompose import (
     decomposition_from_roots,
     parabolic_tower,
 )
-from weyldecomp.errors import InvalidType
+from weyldecomp.errors import InvalidType, TooLarge
 from weyldecomp.rootsys import system
 from weyldecomp.weyl import classify_longest
 
@@ -279,6 +279,15 @@ def test_type_digits_must_be_ascii():
         code, out, err = invoke("info", "--type", text)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_rank_over_the_limit_is_refused():
+    with pytest.raises(TooLarge, match="65"):
+        system("A65")
+    code, out, err = invoke("info", "--type", "A1000")
+    assert code == 2 and out == ""
+    assert "1000" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_count_words_beyond_the_state_bound_is_refused():

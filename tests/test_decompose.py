@@ -238,6 +238,17 @@ def test_uniqueness_exhaustive_on_small_systems():
         assert verify_decomposition(rs, decs[0]).all_ok()
 
 
+def test_uniqueness_exhaustive_on_the_full_sweep():
+    for t in FULL_SWEEP:
+        rs = system(t)
+        decs = enumerate_max_orthogonal(
+            rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots)
+        )
+        assert len(decs) == 1, (t, len(decs))
+        assert set(decs[0].roots) == set(canonical_decomposition(rs).roots), t
+        assert verify_decomposition(rs, decs[0]).all_ok(), t
+
+
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         enumerate_max_orthogonal(system("E7"))

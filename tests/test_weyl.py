@@ -304,6 +304,9 @@ def test_non_elements_raise_value_error():
             count_reduced_words(a2, m)
     with pytest.raises(ValueError, match="not a Weyl group element"):
         descents(a2, ((0, 0), (0, 0)))
+    for m in [((2, 0), (0, 2)), ((0, 0), (0, 0))]:
+        with pytest.raises(ValueError, match="not a Weyl group element"):
+            length_of(a2, m)
 
 
 def test_count_reduced_words_of_a_long_element_hits_the_state_bound():
