@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -164,7 +165,7 @@ def _coroot(gram2: Matrix, a: Root) -> Root:
 
 
 def _dot(x: Root, y: Root) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _ascents(coroots, x: Root):
@@ -233,11 +234,25 @@ def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
         raise DimensionMismatch(
             f"vectors of length {len(x)} and {len(y)} in a rank-{rs.rank} system"
         )
-    total = 0
-    for xi, row in zip(x, rs.gram2):
-        if xi:
-            total += xi * sum(g * yj for g, yj in zip(row, y) if yj)
-    return total
+    return sum(xi * _dot(row, y) for xi, row in zip(x, rs.gram2) if xi)
+
+
+@lru_cache(maxsize=None)
+def _coroots(rs: RootSystem) -> dict[Root, Root]:
+    """The coroot row ``_coroot(rs.gram2, r)`` of every root r, positive and
+    negative, computed once per system; the row of -r is minus that of r."""
+    table = {}
+    for r in rs.positive_roots:
+        c = _coroot(rs.gram2, r)
+        table[r] = c
+        table[negate(r)] = negate(c)
+    return table
+
+
+def _two_rho(rs: RootSystem) -> Root:
+    """2 rho, the sum of the positive roots.  It is regular, so an element
+    of W is determined by its image of 2 rho."""
+    return tuple(map(sum, zip(*rs.positive_roots)))
 
 
 def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
@@ -246,7 +261,7 @@ def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
         raise NotARoot(f"{a} is not a root of {rs.type}")
     if len(x) != rs.rank:
         raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
-    return _dot(x, _coroot(rs.gram2, a))
+    return _dot(x, _coroots(rs)[a])
 
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:

@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
-from .rootsys import Matrix, Root, RootSystem, _ascents, _coroot, is_root, negate, pairing2
+from .rootsys import (
+    Matrix,
+    Root,
+    RootSystem,
+    _ascents,
+    _coroots,
+    _dot,
+    _two_rho,
+    is_root,
+    pairing2,
+)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -28,7 +38,7 @@ def apply_matrix(m: Matrix, x: Root) -> Root:
     """Apply m to a coefficient vector (columns are images of simple roots)."""
     if len(x) != len(m):
         raise DimensionMismatch(f"vector of length {len(x)} under a {len(m)}x{len(m)} matrix")
-    return tuple(sum(row[j] * xj for j, xj in enumerate(x)) for row in m)
+    return tuple(_dot(row, x) for row in m)
 
 
 def compose(u: Matrix, v: Matrix) -> Matrix:
@@ -45,7 +55,7 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
 def _reflect(rs: RootSystem, m: Matrix, a: Root) -> Matrix:
     """The product m.s_a, as the rank-one update m - (m a) c^T: s_a sends
     a_j to a_j - c_j a, with c the Cartan integers of the root a."""
-    c = _coroot(rs.gram2, a)
+    c = _coroots(rs)[a]
     return tuple(
         tuple(e - k * cj for e, cj in zip(row, c)) if k else row
         for row, k in zip(m, apply_matrix(m, a))
@@ -99,17 +109,12 @@ def _sends_positive(m: Matrix, i: int) -> bool:
 
 
 def length_of(rs: RootSystem, m: Matrix) -> int:
-    """Coxeter length: the number of positive roots sent to negative roots."""
+    """Coxeter length: the length of a reduced word for m, which is the number
+    of positive roots m sends to negative roots.  A matrix outside W, even one
+    that permutes the roots such as a diagram automorphism, raises ValueError."""
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
-    count = 0
-    for r in rs.positive_roots:
-        image = apply_matrix(m, r)
-        if image not in rs.root_index:
-            if negate(image) not in rs.root_index:
-                raise ValueError("matrix is not a Weyl group element")
-            count += 1
-    return count
+    return len(reduced_word_of(rs, m))
 
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
@@ -205,8 +210,9 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
-    coroots = [_coroot(rs.gram2, rs.simple_root(i)) for i in range(1, rs.rank + 1)]
-    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
+    table = _coroots(rs)
+    coroots = [table[rs.simple_root(i)] for i in range(1, rs.rank + 1)]
+    two_rho = _two_rho(rs)
     layer = Counter({apply_matrix(m, two_rho): 1})
     states = 1
     for _ in reduced_word_of(rs, m):

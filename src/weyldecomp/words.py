@@ -6,14 +6,23 @@ reflection in s_a(b).  When a and b are non-orthogonal and non-proportional,
 s_a(b) is b -/+ k*a with k determined entirely by the squared lengths of a and
 b and the sign of their inner product; ``classify_conjugation`` names these
 cases and ``conjugated_root`` computes the resulting (positive) root directly.
+
+The identity checks compare two products of reflections by their images of
+2 rho, the sum of the positive roots: 2 rho is regular, so two elements of W
+are equal exactly when they send it to the same vector, and pushing it through
+the factors costs a matrix-vector product per factor where comparing the
+products costs dense matrix products.  The test does not separate W from the
+diagram automorphisms (in A2, -I and w0 both send 2 rho to -2 rho), so it is
+used only where both sides are products of reflections, never on a matrix a
+caller passes in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional
-from .rootsys import Root, RootSystem, _coroot, _dot, is_root, negate, pairing2
-from .weyl import Matrix, compose, evaluate_word, reflection_of
+from .rootsys import Root, RootSystem, _coroots, _dot, _two_rho, is_root, negate, pairing2
+from .weyl import apply_matrix, evaluate_word, reflection_of
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
@@ -31,7 +40,7 @@ def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     for x in (delta, tau):
         if not is_root(rs, x):
             raise NotARoot(f"{x} is not a root of {rs.type}")
-    c = _dot(tau, _coroot(rs.gram2, delta))
+    c = _dot(tau, _coroots(rs)[delta])
     image = tuple(t - c * d for t, d in zip(tau, delta))
     return positive_representative(rs, image)
 
@@ -133,28 +142,51 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     A-family system and 1 <= k < n <= rank.
     """
     _check_range(rs, k, n)
-    left = compose(
+    left = [
         reflection_of(rs, _interval_root(rs, k, n - 1)),
         evaluate_word(rs, range(n, k - 1, -1)),
-    )
-    right = compose(
+    ]
+    right = [
         evaluate_word(rs, range(n - 1, k, -1)),
         reflection_of(rs, _interval_root(rs, k, n)),
-    )
-    return left == right
+    ]
+    return _same_element(rs, left, right)
+
+
+def _image(factors, x: Root) -> Root:
+    """x under the product of the matrices, multiplied left to right (so the
+    last one acts first)."""
+    for m in reversed(factors):
+        x = apply_matrix(m, x)
+    return x
+
+
+def _same_element(rs: RootSystem, left, right) -> bool:
+    """Whether two products of elements of W, each a list of matrices
+    multiplied left to right, are equal, by their images of 2 rho.  Every
+    factor must be a product of reflections (see the module docstring)."""
+    two_rho = _two_rho(rs)
+    return _image(left, two_rho) == _image(right, two_rho)
 
 
 def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
-    """Dual-route check: closed-form conjugate vs literal matrix conjugation."""
+    """Dual-route check: closed-form conjugate vs literal conjugation
+    s_delta . s_tau . s_delta, compared by their images of 2 rho."""
     s_delta = reflection_of(rs, delta)
     s_tau = reflection_of(rs, tau)
-    literal: Matrix = compose(compose(s_delta, s_tau), s_delta)
-    return reflection_of(rs, conjugated_root(rs, delta, tau)) == literal
+    s_conj = reflection_of(rs, conjugated_root(rs, delta, tau))
+    return _same_element(rs, [s_delta, s_tau, s_delta], [s_conj])
 
 
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
-    """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named)."""
+    """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named).
+
+    Each pair's literal conjugate s_a . s_b . s_a is compared with s_conj by
+    their images of 2 rho, from each reflection's image of 2 rho computed once.
+    """
     refl = {r: reflection_of(rs, r) for r in rs.positive_roots}
+    two_rho = _two_rho(rs)
+    moved = {r: apply_matrix(m, two_rho) for r, m in refl.items()}
     pairs = 0
     named = 0
     for a in rs.positive_roots:
@@ -163,8 +195,7 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
                 continue
             pairs += 1
             conj = conjugated_root(rs, a, b)
-            literal = compose(compose(refl[a], refl[b]), refl[a])
-            if refl[conj] != literal:
+            if moved[conj] != _image([refl[a], refl[b]], moved[a]):
                 return False, pairs, named
             try:
                 case = classify_conjugation(rs, a, b)

@@ -304,3 +304,15 @@ EXPORT_GOLDENS = json.loads(
 @pytest.mark.parametrize("type_name", sorted(EXPORT_GOLDENS))
 def test_export_matches_golden(type_name):
     assert invoke("export", "--type", type_name) == (0, EXPORT_GOLDENS[type_name], "")
+
+
+IDENTITY_GOLDENS = json.loads(
+    (Path(__file__).parent / "fixtures" / "identity_goldens.json").read_text()
+)
+
+
+@pytest.mark.parametrize("type_name", sorted(IDENTITY_GOLDENS))
+def test_check_identities_matches_golden(type_name):
+    golden = IDENTITY_GOLDENS[type_name]
+    assert invoke("check-identities", "--type", type_name) == (0, golden["text"], "")
+    assert invoke("check-identities", "--type", type_name, "--json") == (0, golden["json"], "")

@@ -24,6 +24,7 @@ from weyldecomp import (
     support,
     system,
 )
+from weyldecomp.rootsys import _coroot, _coroots, negate
 
 from util import FULL_SWEEP, POSITIVE_ROOT_COUNT
 
@@ -259,3 +260,14 @@ def test_format_root():
 
 def test_root_system_instances_are_shared():
     assert system("F4") is build_root_system(RootSystemType("F", 4))
+
+
+def test_coroot_table_matches_the_coroot_of_every_root():
+    for t in FULL_SWEEP:
+        rs = system(t)
+        table = _coroots(rs)
+        assert len(table) == 2 * len(rs.positive_roots), t
+        for r in rs.positive_roots:
+            assert table[r] == _coroot(rs.gram2, r), (t, r)
+            assert table[negate(r)] == _coroot(rs.gram2, negate(r)), (t, r)
+            assert table[negate(r)] == negate(table[r]), (t, r)

@@ -24,6 +24,7 @@ from weyldecomp import (
     simple_reflection,
     system,
 )
+from weyldecomp.rootsys import _two_rho
 from weyldecomp.weyl import _group_order
 
 from util import (
@@ -302,11 +303,10 @@ def test_non_elements_raise_value_error():
             reduced_word_of(a2, m)
         with pytest.raises(ValueError, match="not a Weyl group element"):
             count_reduced_words(a2, m)
-    with pytest.raises(ValueError, match="not a Weyl group element"):
-        descents(a2, ((0, 0), (0, 0)))
-    for m in [((2, 0), (0, 2)), ((0, 0), (0, 0))]:
         with pytest.raises(ValueError, match="not a Weyl group element"):
             length_of(a2, m)
+    with pytest.raises(ValueError, match="not a Weyl group element"):
+        descents(a2, ((0, 0), (0, 0)))
 
 
 def test_count_reduced_words_of_a_long_element_hits_the_state_bound():
@@ -314,3 +314,24 @@ def test_count_reduced_words_of_a_long_element_hits_the_state_bound():
     m = compose(longest_element(a32), simple_reflection(a32, 1))
     with pytest.raises(TooLarge, match="exceeded 1000 states"):
         count_reduced_words(a32, m, state_bound=1000)
+
+
+def test_two_rho_separates_the_elements_of_the_group():
+    for t in ["A3", "B3", "G2"]:
+        rs = system(t)
+        group = generate_group(rs)
+        assert len(group) == GROUP_ORDER[t]
+        images = {u: apply_matrix(u, _two_rho(rs)) for u in group}
+        for u in group:
+            for v in group:
+                assert (u == v) == (images[u] == images[v]), t
+
+
+def test_two_rho_does_not_separate_diagram_automorphisms():
+    # -I is not in W(A2), yet it moves 2 rho exactly as w0 does.
+    a2 = system("A2")
+    minus_identity = ((-1, 0), (0, -1))
+    w0 = longest_element(a2)
+    assert minus_identity != w0
+    two_rho = _two_rho(a2)
+    assert apply_matrix(minus_identity, two_rho) == apply_matrix(w0, two_rho) == (-2, -2)

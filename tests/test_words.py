@@ -22,6 +22,7 @@ from weyldecomp import (
     predicted_conjugate,
     reflection_of,
     system,
+    words,
 )
 
 
@@ -226,3 +227,32 @@ def test_conjugation_length_parity():
                 continue
             conj = conjugated_root(g2, a, b)
             assert length_of(g2, reflection_of(g2, conj)) % 2 == 1
+
+
+def test_identity_checks_catch_a_wrong_conjugate(monkeypatch):
+    a2 = system("A2")
+    a, b = (1, 0), (0, 1)  # not orthogonal: the true conjugate is a + b
+    assert pairing2(a2, a, b) != 0
+    assert words._conjugation_suite(a2)[0] and conjugation_identity_holds(a2, a, b)
+    true_conjugate = words.conjugated_root
+
+    def wrong(rs, delta, tau):
+        return tau if pairing2(rs, delta, tau) else true_conjugate(rs, delta, tau)
+
+    monkeypatch.setattr(words, "conjugated_root", wrong)
+    # The first pair fails on the literal route, before any case is named.
+    assert words._conjugation_suite(a2) == (False, 1, 0)
+    assert not conjugation_identity_holds(a2, a, b)
+
+
+def test_permutation_lemma_catches_a_wrong_interval_root(monkeypatch):
+    a3 = system("A3")
+    assert check_permutation_lemma(a3, 1, 3)
+    true_root = words._interval_root
+
+    def wrong(rs, k, n):
+        # a1 in place of a1 + a2 on the left-hand side of k = 1, n = 3
+        return rs.simple_root(k) if n == 2 else true_root(rs, k, n)
+
+    monkeypatch.setattr(words, "_interval_root", wrong)
+    assert not check_permutation_lemma(a3, 1, 3)
