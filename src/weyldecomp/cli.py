@@ -33,6 +33,9 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
+        # argparse echoes unrecognized arguments verbatim; escape their line
+        # breaks so that the diagnostic stays one line.
+        message = message.replace("\r", "\\r").replace("\n", "\\n")
         raise _UsageError(f"{self.prog}: error: {message}")
 
 

@@ -22,22 +22,30 @@ from .rootsys import (
     Root,
     RootSystem,
     _components,
+    _coroots,
+    _dot,
     _highest_by_support,
     dominance_leq,
     highest_root_of,
     is_root,
+    negate,
     pairing2,
     parabolic_embedding,
     support,
 )
 from .weyl import (
     Matrix,
-    _reflect,
-    identity_matrix,
+    apply_matrix,
+    classify_longest,
     longest_element,
     reduced_word_of,
     reflection_product,
 )
+
+# Most nodes enumerate_max_orthogonal visits before it raises TooLarge.  The
+# search stays exponential in the families B, C and D (D18 visits about 0.6 M
+# nodes, D20 about 3 M), so a lifted size guard needs a limit of its own.
+_MAX_SEARCH_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -203,10 +211,18 @@ def _candidate_pool(rs: RootSystem) -> list[Root]:
 
 def _compatible(rs: RootSystem, x: Root, y: Root) -> bool:
     """Whether two pool roots may be factors of one decomposition: they are
-    orthogonal, and comparable under dominance unless one of them is simple."""
-    return pairing2(rs, x, y) == 0 and (
+    orthogonal, and comparable under dominance unless one of them is simple.
+    Orthogonality reads x's row of the coroot table: <y, x-check> = 0."""
+    return _dot(y, _coroots(rs)[x]) == 0 and (
         sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
     )
+
+
+def _minus_one_dimension(rs: RootSystem) -> int:
+    """dim E_-1(w0): w0 = -sigma for the diagram involution sigma, so its -1
+    eigenspace is the fixed space of sigma, one dimension per sigma-orbit."""
+    sigma = classify_longest(rs).automorphism
+    return len({frozenset((i, s)) for i, s in enumerate(sigma, 1)})
 
 
 def enumerate_max_orthogonal(
@@ -217,12 +233,24 @@ def enumerate_max_orthogonal(
     Searches all sets of pool roots (highest roots of connected standard
     parabolics) that are pairwise orthogonal, whose non-simple members form a
     dominance chain, and whose reflections multiply to the longest element.
-    After each choice only the later candidates compatible with that root
-    stay, so no chosen root is tested twice.  Each qualifying set is reported
-    once, factors ordered simples-first then by ascending height, and the
-    result list is itself sorted by those factor sequences.  Refuses systems
-    that are large in both rank and root count: allowed when rank <=
-    rank_bound or the positive root count is <= size_bound.
+    Reflections in pairwise orthogonal roots commute, and their product is -1
+    on the span of the roots and +1 on its orthogonal complement; w0 is an
+    orthogonal involution.  So a set of compatible roots multiplies to w0
+    exactly when every root r has w0(r) = -r and there are d = dim E_-1(w0)
+    of them, d being the number of orbits of the diagram involution sigma
+    with w0 = -sigma.  The search therefore keeps only the pool roots that
+    w0 negates, gives each an int bitmask of the later pool roots compatible
+    with it, and walks cliques by intersecting masks, lowest bit first.  A
+    branch is cut when its chosen roots plus its remaining candidates number
+    fewer than d, and a set of d roots is a leaf.  At each leaf the literal
+    product of the reflections is compared with w0 as a second route, and a
+    mismatch raises RuntimeError.  Each qualifying set is reported once,
+    factors ordered simples-first then by ascending height, and the result
+    list is itself sorted by those factor sequences.
+
+    Refuses systems that are large in both rank and root count: allowed when
+    rank <= rank_bound or the positive root count is <= size_bound.  A search
+    that visits more than ``_MAX_SEARCH_NODES`` nodes raises TooLarge.
     """
     npos = len(rs.positive_roots)
     if rs.rank > rank_bound and npos > size_bound:
@@ -231,17 +259,37 @@ def enumerate_max_orthogonal(
             "positive roots; raise the bounds to search anyway"
         )
     w0 = longest_element(rs)
+    d = _minus_one_dimension(rs)
+    pool = [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
+    masks = [
+        sum(1 << j for j in range(i + 1, len(pool)) if _compatible(rs, r, pool[j]))
+        for i, r in enumerate(pool)
+    ]
     results: list[tuple[Root, ...]] = []
+    nodes = 0
 
-    def extend(cands: list[Root], chosen: tuple[Root, ...], product: Matrix) -> None:
-        if product == w0:
+    def extend(cands: int, chosen: tuple[Root, ...]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_SEARCH_NODES:
+            raise TooLarge(
+                f"the search on {rs.type} visited {nodes} nodes, "
+                f"over the limit of {_MAX_SEARCH_NODES}"
+            )
+        if len(chosen) == d:
+            if reflection_product(rs, chosen) != w0:
+                raise RuntimeError(
+                    f"{rs.type}: the reflections in {chosen} do not multiply to w0"
+                )
             results.append(chosen)
-            return  # a strict superset of reflections cannot multiply to w0 again
-        for i, r in enumerate(cands):
-            later = [c for c in cands[i + 1 :] if _compatible(rs, r, c)]
-            extend(later, chosen + (r,), _reflect(rs, product, r))
+            return
+        while len(chosen) + cands.bit_count() >= d:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            extend(cands & masks[i], chosen + (pool[i],))
 
-    extend(_candidate_pool(rs), (), identity_matrix(rs.rank))
+    extend((1 << len(pool)) - 1, ())
     decs = []
     for roots in sorted(
         sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r)) for roots in results

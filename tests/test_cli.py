@@ -1,12 +1,16 @@
 """Command-line verbs, exit codes, JSON schema, output stability."""
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weyldecomp.cli import run
+from weyldecomp.cli import _VERBS, run
 from weyldecomp.decompose import (
     canonical_decomposition,
     decomposition_from_roots,
@@ -127,6 +131,17 @@ def test_unique_exit_codes_and_bound():
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["unique"] is True
+
+
+def test_unique_with_a_lifted_bound_answers_or_stops_at_the_node_budget():
+    code, out, err = invoke("unique", "--type", "A20", "--bound", "100000")
+    assert code == 0 and err == ""
+    assert out.endswith("result: UNIQUE\n")
+    # B, C and D stay exponential: D30 runs into the node budget.
+    code, out, err = invoke("unique", "--type", "D30", "--bound", "100000")
+    assert code == 1 and out == ""
+    assert "nodes" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_tower():
@@ -316,3 +331,46 @@ def test_check_identities_matches_golden(type_name):
     golden = IDENTITY_GOLDENS[type_name]
     assert invoke("check-identities", "--type", type_name) == (0, golden["text"], "")
     assert invoke("check-identities", "--type", type_name, "--json") == (0, golden["json"], "")
+
+
+# Types for which every verb answers at once, and strings that are no type.
+_FUZZ_TYPES = ["A1", "A3", "A5", "B2", "B4", "C3", "C5", "D3", "D5", "F4", "G2"]
+_FUZZ_NON_TYPES = ["E5", "G3", "A0", "B1", "X3", "a3", "A65", "A100000", "", "A", "3", "A-1"]
+_FUZZ_NOISE = st.one_of(
+    st.sampled_from(["--json", "--format", "json", "xml", "--bound", "--type", "--x", "-", "--"]),
+    st.sampled_from(_FUZZ_TYPES + _FUZZ_NON_TYPES),
+    # no digits, so that noise never names a large rank
+    st.text(st.characters(blacklist_categories=("Cs", "Nd", "Nl", "No")), max_size=6),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    verb = draw(_FUZZ_NOISE if rarely() else st.sampled_from(list(_VERBS)))
+    groups = []
+    if not rarely():
+        types = _FUZZ_NON_TYPES if rarely() else _FUZZ_TYPES
+        groups.append(["--type", draw(st.sampled_from(types))])
+    if draw(st.booleans()):
+        groups.append(["--json"])
+    if draw(st.booleans()) if verb == "unique" else rarely():
+        groups.append(["--bound", str(draw(st.integers(-5, 60)))])
+    if draw(st.booleans()) if verb == "export" else rarely():
+        groups.append(["--format", draw(st.sampled_from(["json", "xml"]))])
+    groups = draw(st.permutations(groups))
+    noise = draw(st.lists(_FUZZ_NOISE, max_size=2)) if rarely() else []
+    return [verb] + [token for group in groups for token in group] + noise
+
+
+@settings(deadline=None)
+@given(cli_argv())
+@example(["info", "--type", "A3", "x\ny"])
+def test_cli_run_ends_in_an_exit_code_and_at_most_one_line(argv):
+    with redirect_stdout(io.StringIO()):  # --help and -h print directly
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), argv
+    assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), (argv, err)
+    assert (code == 0) <= (err == ""), (argv, err)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+import weyldecomp.decompose as decompose
 from weyldecomp import (
     NoRelation,
     NotARoot,
@@ -24,6 +25,8 @@ from weyldecomp import (
     system,
     verify_decomposition,
 )
+
+from weyldecomp.decompose import _minus_one_dimension
 
 from util import FULL_SWEEP
 
@@ -247,6 +250,47 @@ def test_uniqueness_exhaustive_on_the_full_sweep():
         assert len(decs) == 1, (t, len(decs))
         assert set(decs[0].roots) == set(canonical_decomposition(rs).roots), t
         assert verify_decomposition(rs, decs[0]).all_ok(), t
+
+
+def test_uniqueness_exhaustive_beyond_the_full_sweep():
+    # Every third A rank up to A30 (all 22 take about twice as long) and
+    # B, C, D 9-12, each with its guards lifted.
+    types = [f"A{n}" for n in range(9, 31, 3)] + [
+        f"{fam}{n}" for fam in "BCD" for n in range(9, 13)
+    ]
+    for t in types:
+        rs = system(t)
+        decs = enumerate_max_orthogonal(
+            rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots)
+        )
+        assert len(decs) == 1, (t, len(decs))
+        assert set(decs[0].roots) == set(canonical_decomposition(rs).roots), t
+        assert verify_decomposition(rs, decs[0]).all_ok(), t
+
+
+def test_search_depth_is_the_canonical_factor_count():
+    # The search takes d = dim E_-1(w0) from the diagram involution alone;
+    # the cascade reaches the same number by its own route.
+    for t in FULL_SWEEP:
+        rs = system(t)
+        assert _minus_one_dimension(rs) == len(canonical_decomposition(rs).factors), t
+
+
+def test_search_checks_each_leaf_by_the_literal_product(monkeypatch):
+    # A leaf whose product is not w0 contradicts the eigenspace argument the
+    # search rests on, so it must stop the search (also under python -O).
+    monkeypatch.setattr(
+        decompose, "reflection_product", lambda rs, roots: identity_matrix(rs.rank)
+    )
+    with pytest.raises(RuntimeError, match="do not multiply to w0"):
+        enumerate_max_orthogonal(system("B3"))
+
+
+def test_search_node_budget(monkeypatch):
+    monkeypatch.setattr(decompose, "_MAX_SEARCH_NODES", 10)
+    with pytest.raises(TooLarge, match="visited 11 nodes"):
+        enumerate_max_orthogonal(system("E8"), size_bound=120)
+    assert len(enumerate_max_orthogonal(system("A2"))) == 1
 
 
 def test_enumeration_guard():
