@@ -27,16 +27,19 @@ from .weyl import classify_longest, count_reduced_words, length_of, longest_elem
 from .words import _conjugation_suite, _interval_suite
 
 
-class _UsageError(Exception):
-    pass
+class _Stop(Exception):
+    """Ends parsing early with run's (exit code, stdout, stderr)."""
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        raise _Stop(0, self.format_help(), "")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         # argparse echoes unrecognized arguments verbatim; escape their line
         # breaks so that the diagnostic stays one line.
         message = message.replace("\r", "\\r").replace("\n", "\\n")
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _Stop(2, "", f"{self.prog}: error: {message}\n")
 
 
 def _type_arg(text: str) -> RootSystem:
@@ -332,10 +335,8 @@ def run(argv) -> tuple[int, str, str]:
     parser = _build_parser()
     try:
         ns = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        return 2, "", f"{exc}\n"
-    except SystemExit as exc:  # --help prints directly and exits
-        return int(exc.code or 0), "", ""
+    except _Stop as stop:
+        return stop.args
     try:
         code, out = _VERBS[ns.verb][1](ns)
     except WeylError as exc:

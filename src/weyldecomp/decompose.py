@@ -209,13 +209,22 @@ def _candidate_pool(rs: RootSystem) -> list[Root]:
     return sorted(_highest_by_support(rs).values(), key=lambda r: (sum(r), r))
 
 
-def _compatible(rs: RootSystem, x: Root, y: Root) -> bool:
-    """Whether two pool roots may be factors of one decomposition: they are
-    orthogonal, and comparable under dominance unless one of them is simple.
-    Orthogonality reads x's row of the coroot table: <y, x-check> = 0."""
-    return _dot(y, _coroots(rs)[x]) == 0 and (
-        sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
-    )
+def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
+    """Bit j of entry i is set when pool roots i < j may share a decomposition:
+    orthogonal, and comparable under dominance unless one is simple.  For
+    highest roots of connected supports, comparable means nested supports."""
+    coroots = _coroots(rs)
+    supports = [sum(1 << k for k, c in enumerate(r) if c) for r in pool]
+
+    def compatible(i: int, j: int) -> bool:
+        si, sj = supports[i], supports[j]
+        loose = (si & sj) in (si, sj) or si.bit_count() == 1 or sj.bit_count() == 1
+        return loose and _dot(pool[j], coroots[pool[i]]) == 0
+
+    return [
+        sum(1 << j for j in range(i + 1, len(pool)) if compatible(i, j))
+        for i in range(len(pool))
+    ]
 
 
 def _minus_one_dimension(rs: RootSystem) -> int:
@@ -261,10 +270,7 @@ def enumerate_max_orthogonal(
     w0 = longest_element(rs)
     d = _minus_one_dimension(rs)
     pool = [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
-    masks = [
-        sum(1 << j for j in range(i + 1, len(pool)) if _compatible(rs, r, pool[j]))
-        for i, r in enumerate(pool)
-    ]
+    masks = _compatibility_masks(rs, pool)
     results: list[tuple[Root, ...]] = []
     nodes = 0
 

@@ -164,6 +164,14 @@ def _coroot(gram2: Matrix, a: Root) -> Root:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _simple_coroots(gram2: Matrix) -> tuple[Root, ...]:
+    """The Cartan rows ``_coroot(gram2, a_i)`` of the simple roots, computed
+    once per system; row i is nonzero only at i and its Dynkin neighbours."""
+    n = len(gram2)
+    return tuple(_coroot(gram2, tuple(int(j == i) for j in range(n))) for i in range(n))
+
+
 def _dot(x: Root, y: Root) -> int:
     return sum(map(mul, x, y))
 
@@ -185,7 +193,7 @@ def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
     r.  Ordering is by height, ties broken lexicographically.
     """
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    coroots = [_coroot(gram2, a) for a in simples]
+    coroots = _simple_coroots(gram2)
     roots, new = set(simples), simples
     while new:
         new = {y for x in new for y in _ascents(coroots, x)} - roots
@@ -328,8 +336,8 @@ def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...])
     None.  The walk tries nodes in ascending order, so its first complete map
     is the smallest."""
     k = len(gram2)
-    c_in = [_coroot(gram2, tuple(int(p == q) for p in range(k))) for q in range(k)]
-    c_out = {j: _coroot(outer.gram2, outer.simple_root(j)) for j in nodes}
+    c_in = _simple_coroots(gram2)
+    c_out = _simple_coroots(outer.gram2)
     assignment: list[int] = []
 
     def extend(p: int) -> tuple[int, ...] | None:
@@ -339,8 +347,8 @@ def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...])
             if j in assignment:
                 continue
             if all(
-                c_in[q - 1][p - 1] == c_out[jq][j - 1]
-                and c_in[p - 1][q - 1] == c_out[j][jq - 1]
+                c_in[q - 1][p - 1] == c_out[jq - 1][j - 1]
+                and c_in[p - 1][q - 1] == c_out[j - 1][jq - 1]
                 for q, jq in enumerate(assignment, start=1)
             ):
                 assignment.append(j)

@@ -2,15 +2,18 @@
 
 An element is stored as a rank x rank tuple-of-tuples, row-major, whose i-th
 column is the image of the i-th simple root.  Every element preserves the
-doubled Gram matrix: ``M^T G M == G``.  Multiplying by a reflection is a
-rank-one update, ``M.s_a == M - (M a) c^T`` with ``c_j`` the Cartan integer
-<a_j, a-check>, so no walk ever forms a dense product.
+doubled Gram matrix: ``M^T G M == G``.  Every product of reflections is one
+walk on a list of columns: s_a(a_j) = a_j - c_j a with c_j = <a_j, a-check>,
+so M.s_a rewrites only the columns j with c_j != 0, as col_j - c_j (M a).
+For a simple root a_i, M a_i is column i, and only column i and those of
+its Dynkin neighbours change.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
 from .rootsys import (
@@ -18,8 +21,9 @@ from .rootsys import (
     Root,
     RootSystem,
     _ascents,
-    _coroots,
+    _coroot,
     _dot,
+    _simple_coroots,
     _two_rho,
     is_root,
     pairing2,
@@ -52,25 +56,29 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
-def _reflect(rs: RootSystem, m: Matrix, a: Root) -> Matrix:
-    """The product m.s_a, as the rank-one update m - (m a) c^T: s_a sends
-    a_j to a_j - c_j a, with c the Cartan integers of the root a."""
-    c = _coroots(rs)[a]
-    return tuple(
-        tuple(e - k * cj for e, cj in zip(row, c)) if k else row
-        for row, k in zip(m, apply_matrix(m, a))
-    )
+def _right_reflect(cols: list[Root], v: Root, c: Root) -> None:
+    """Multiply an element, given as its list of columns, by s_a on the right
+    in place, where v is the element's image of a and c the Cartan row of a."""
+    for j in compress(range(len(c)), c):
+        cj = c[j]
+        cols[j] = tuple(x - cj * y for x, y in zip(cols[j], v))
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
-    m = identity_matrix(rs.rank)
+    simple = _simple_coroots(rs.gram2)
+    cols = list(identity_matrix(rs.rank))
     for r in roots:
         if not is_root(rs, r):
             raise NotARoot(f"{r} is not a root of {rs.type}")
-        m = _reflect(rs, m, r)
-    return m
+        if sum(r) == 1:
+            i = r.index(1)
+            _right_reflect(cols, cols[i], simple[i])
+        else:
+            image = tuple(_dot(row, r) for row in zip(*cols))
+            _right_reflect(cols, image, _coroot(rs.gram2, r))
+    return tuple(zip(*cols))
 
 
 def reflection_of(rs: RootSystem, a: Root) -> Matrix:
@@ -80,12 +88,13 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first."""
-    m = identity_matrix(rs.rank)
+    simple = _simple_coroots(rs.gram2)
+    cols = list(identity_matrix(rs.rank))
     for letter in word:
         if not 1 <= letter <= rs.rank:
             raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
-        m = _reflect(rs, m, rs.simple_root(letter))
-    return m
+        _right_reflect(cols, cols[letter - 1], simple[letter - 1])
+    return tuple(zip(*cols))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> Matrix:
@@ -93,19 +102,13 @@ def simple_reflection(rs: RootSystem, i: int) -> Matrix:
     return evaluate_word(rs, [i])
 
 
-def _column(m: Matrix, i: int) -> Root:
-    return tuple(row[i - 1] for row in m)
-
-
-def _sends_positive(m: Matrix, i: int) -> bool:
-    """True iff m sends the i-th simple root to a positive root."""
-    col = _column(m, i)
-    for c in col:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    raise ValueError("matrix is not a Weyl group element")
+def _sends_positive(col: Root) -> bool:
+    """True iff a column, the image of a simple root, is a positive root: its
+    first nonzero entry is positive, which is how tuples compare with zero."""
+    zero = (0,) * len(col)
+    if col == zero:
+        raise ValueError("matrix is not a Weyl group element")
+    return col > zero
 
 
 def length_of(rs: RootSystem, m: Matrix) -> int:
@@ -119,7 +122,8 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
-    return [i for i in range(1, rs.rank + 1) if not _sends_positive(m, i)]
+    columns = (tuple(row[i - 1] for row in m) for i in range(1, rs.rank + 1))
+    return [i for i, col in enumerate(columns, 1) if not _sends_positive(col)]
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +135,13 @@ def longest_element(rs: RootSystem) -> Matrix:
     Each step increases the length by one, so the walk stops after exactly
     ``len(rs.positive_roots)`` steps.
     """
-    m = identity_matrix(rs.rank)
+    simple = _simple_coroots(rs.gram2)
+    cols = list(identity_matrix(rs.rank))
     for _ in range(len(rs.positive_roots)):
-        i = next(j for j in range(1, rs.rank + 1) if _sends_positive(m, j))
-        m = _reflect(rs, m, rs.simple_root(i))
-    assert not any(_sends_positive(m, j) for j in range(1, rs.rank + 1))
-    return m
+        i = next(j for j, col in enumerate(cols) if _sends_positive(col))
+        _right_reflect(cols, cols[i], simple[i])
+    assert not any(_sends_positive(col) for col in cols)
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,9 @@ class LongestClassification:
 def classify_longest(rs: RootSystem) -> LongestClassification:
     """Classify the longest element as -P for a diagram automorphism P."""
     w0 = longest_element(rs)
-    p = matrix_neg(w0)
     n = rs.rank
     perm = []
-    for i in range(1, n + 1):
-        col = _column(p, i)
+    for col in zip(*matrix_neg(w0)):
         assert sum(abs(c) for c in col) == 1 and sum(col) == 1, (
             "minus the longest element must permute the simple roots"
         )
@@ -169,15 +172,17 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     """A canonical reduced word for m: repeatedly strip the smallest descent."""
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    simple = _simple_coroots(rs.gram2)
+    cols = list(zip(*m))
     letters: list[int] = []
-    ident = identity_matrix(rs.rank)
-    guard = len(rs.positive_roots) + 1
-    while m != ident:
-        i = next((j for j in range(1, rs.rank + 1) if not _sends_positive(m, j)), None)
-        if i is None or len(letters) >= guard:
-            raise ValueError("matrix is not a Weyl group element")
-        m = _reflect(rs, m, rs.simple_root(i))
-        letters.append(i)
+    for _ in range(len(rs.positive_roots) + 1):
+        i = next((j for j, col in enumerate(cols) if not _sends_positive(col)), None)
+        if i is None:
+            break
+        _right_reflect(cols, cols[i], simple[i])
+        letters.append(i + 1)
+    if cols != list(identity_matrix(rs.rank)):
+        raise ValueError("matrix is not a Weyl group element")
     return tuple(reversed(letters))
 
 
@@ -210,8 +215,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
-    table = _coroots(rs)
-    coroots = [table[rs.simple_root(i)] for i in range(1, rs.rank + 1)]
+    coroots = _simple_coroots(rs.gram2)
     two_rho = _two_rho(rs)
     layer = Counter({apply_matrix(m, two_rho): 1})
     states = 1

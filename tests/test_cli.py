@@ -273,6 +273,12 @@ def test_usage_errors_exit_2():
     assert "frobnicate" in err
 
 
+def test_help_is_returned_as_stdout():
+    code, out, err = invoke("info", "-h")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: weyldecomp info")
+
+
 def test_inadmissible_type_is_usage_error():
     code, _, err = invoke("info", "--type", "E5")
     assert code == 2

@@ -26,7 +26,12 @@ from weyldecomp import (
     verify_decomposition,
 )
 
-from weyldecomp.decompose import _minus_one_dimension
+from weyldecomp.decompose import (
+    _candidate_pool,
+    _compatibility_masks,
+    _minus_one_dimension,
+)
+from weyldecomp.rootsys import dominance_leq
 
 from util import FULL_SWEEP
 
@@ -447,3 +452,18 @@ def test_highest_factors_agree_with_parabolic_search():
         for f in canonical_decomposition(rs).factors:
             if f.kind == "highest":
                 assert highest_root_of(rs, f.span) == f.root
+
+
+def test_compatibility_masks_follow_the_definition():
+    # orthogonal, and comparable under dominance unless one root is simple
+    for t in FULL_SWEEP:
+        rs = system(t)
+        pool = _candidate_pool(rs)
+        masks = _compatibility_masks(rs, pool)
+        for i, x in enumerate(pool):
+            for j in range(i + 1, len(pool)):
+                y = pool[j]
+                expected = pairing2(rs, x, y) == 0 and (
+                    sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
+                )
+                assert bool(masks[i] >> j & 1) == expected, (t, x, y)

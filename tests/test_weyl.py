@@ -1,6 +1,10 @@
 """Reflections, words, lengths, the longest element, reduced-word counting."""
 from __future__ import annotations
 
+import random
+from functools import reduce
+from math import prod
+
 import pytest
 
 from weyldecomp import (
@@ -16,21 +20,25 @@ from weyldecomp import (
     descents,
     evaluate_word,
     identity_matrix,
+    canonical_decomposition,
+    epsilon_factorization,
     length_of,
     longest_element,
+    pairing2,
     preserves_form,
     reduced_word_of,
     reflection_of,
     simple_reflection,
     system,
 )
-from weyldecomp.rootsys import _two_rho
-from weyldecomp.weyl import _group_order
+from weyldecomp.rootsys import _two_rho, negate
+from weyldecomp.weyl import _group_order, reflection_product
 
 from util import (
     FULL_SWEEP,
     GROUP_ORDER,
     brute_force_reduced_word_count,
+    degrees,
     generate_group,
     syt_count,
 )
@@ -254,6 +262,56 @@ def test_group_order_from_root_heights():
     for t, order in GROUP_ORDER.items():
         assert _group_order(system(t)) == order
     assert _group_order(system("E8")) == 696729600
+
+
+def test_group_order_and_root_count_from_the_degrees():
+    for t in FULL_SWEEP:
+        rs = system(t)
+        ds = degrees(t)
+        assert len(ds) == rs.rank, t
+        assert _group_order(rs) == prod(ds), t
+        assert len(rs.positive_roots) == sum(d - 1 for d in ds), t
+
+
+def _defined_reflection(rs, a):
+    # column j is s_a(a_j) = a_j - <a_j, a-check> a, the Cartan integer
+    # being 2(a_j, a)/(a, a) from the doubled pairing
+    cols = []
+    for j in range(1, rs.rank + 1):
+        a_j = rs.simple_root(j)
+        c, rem = divmod(2 * pairing2(rs, a_j, a), pairing2(rs, a, a))
+        assert rem == 0
+        cols.append(tuple(x - c * y for x, y in zip(a_j, a)))
+    return tuple(zip(*cols))
+
+
+def test_walks_equal_a_dense_fold_of_defined_reflections():
+    for t in FULL_SWEEP + ["A15", "B12", "C13", "D12"]:
+        rs = system(t)
+        n = rs.rank
+
+        def fold(roots):
+            matrices = (_defined_reflection(rs, r) for r in roots)
+            return reduce(compose, matrices, identity_matrix(n))
+
+        w0 = longest_element(rs)
+        word = reduced_word_of(rs, w0)
+        assert len(word) == len(rs.positive_roots), t
+        dense_w0 = fold(rs.simple_root(i) for i in word)
+        assert w0 == dense_w0 == evaluate_word(rs, word), t
+        assert all(apply_matrix(dense_w0, r) < (0,) * n for r in rs.positive_roots), t
+        rng = random.Random(t)
+        for _ in range(5):
+            letters = [rng.randint(1, n) for _ in range(rng.randint(0, 3 * n))]
+            assert evaluate_word(rs, letters) == fold(rs.simple_root(i) for i in letters), t
+        for r in rs.positive_roots:
+            s = _defined_reflection(rs, r)
+            assert reflection_of(rs, r) == s == reflection_of(rs, negate(r)), (t, r)
+        cascade = canonical_decomposition(rs).roots
+        assert reflection_product(rs, cascade) == fold(cascade) == w0, t
+        if rs.family in "BC":
+            frame = epsilon_factorization(rs)
+            assert reflection_product(rs, frame) == fold(frame) == w0, t
 
 
 def test_count_reduced_words_refuses_large_longest_element_at_once():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from weyldecomp import (
     Matrix,
@@ -35,11 +35,35 @@ POSITIVE_ROOT_COUNT = {
     "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6,
 }
 
-# Frozen oracle: Weyl group orders (n+1)!, 2^n n!, 2^(n-1) n!, and the
-# exceptional constants, for the types the exhaustive tests walk.
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+}
+
+
+def degrees(t: str) -> tuple[int, ...]:
+    """The degrees of the basic polynomial invariants of the Weyl group
+    (Humphreys, Reflection Groups and Coxeter Groups, 3.7-3.9): 2..n+1 in
+    A_n, 2, 4, .., 2n in B_n and C_n, 2, 4, .., 2n-2 and n in D_n.  |W| is
+    their product and the number of positive roots the sum of d - 1."""
+    if t in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[t]
+    fam, n = t[0], int(t[1:])
+    if fam == "A":
+        return tuple(range(2, n + 2))
+    if fam in "BC":
+        return tuple(range(2, 2 * n + 1, 2))
+    if fam == "D":
+        return tuple(range(2, 2 * n - 1, 2)) + (n,)
+    raise ValueError(f"no degrees for {t}")
+
+
+# Weyl group orders from the degrees, for the types the exhaustive tests walk.
 GROUP_ORDER = {
-    "A1": 2, "A2": 6, "A3": 24, "A4": 120,
-    "B2": 8, "B3": 48, "C3": 48, "D4": 192, "G2": 12,
+    t: prod(degrees(t)) for t in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
 }
 
 
