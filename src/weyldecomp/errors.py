@@ -32,7 +32,7 @@ class UnrecognizedDiagram(WeylError):
 
 
 class BadLetter(WeylError):
-    """Raised when a word contains a letter outside 1..rank."""
+    """Raised when a word contains a letter that is not an integer in 1..rank."""
 
 
 class BadRange(WeylError):

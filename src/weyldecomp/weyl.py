@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from operator import index
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
 from .rootsys import (
@@ -26,6 +27,7 @@ from .rootsys import (
     _simple_coroots,
     _two_rho,
     is_root,
+    negate,
     pairing2,
 )
 
@@ -91,9 +93,13 @@ def evaluate_word(rs: RootSystem, word) -> Matrix:
     simple = _simple_coroots(rs.gram2)
     cols = list(identity_matrix(rs.rank))
     for letter in word:
-        if not 1 <= letter <= rs.rank:
+        try:
+            i = index(letter)
+        except TypeError:
+            raise BadLetter(f"letter {letter!r} is not an integer") from None
+        if not 1 <= i <= rs.rank:
             raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
-        _right_reflect(cols, cols[letter - 1], simple[letter - 1])
+        _right_reflect(cols, cols[i - 1], simple[i - 1])
     return tuple(zip(*cols))
 
 
@@ -122,6 +128,8 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
+    if len(m) != rs.rank:
+        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
     columns = (tuple(row[i - 1] for row in m) for i in range(1, rs.rank + 1))
     return [i for i, col in enumerate(columns, 1) if not _sends_positive(col)]
 
@@ -205,21 +213,32 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     the simple reflections that move that vector up, so each layer maps every
     vector to its ascents and adds up the ways; after l(m) layers from m(2 rho)
     only 2 rho is left.  The distinct elements visited are bounded by
-    ``state_bound``; exceeding it raises TooLarge.  For the longest element
-    they are the whole group, so an order above the bound is refused at once.
+    ``state_bound``; exceeding it raises TooLarge.
+
+    For the longest element w0 the sweep stops halfway.  After j layers the
+    weight at u(2 rho) counts the paths from w0 down to u, and the paths from
+    u on down to the identity are as many as the paths from w0 down to u.w0,
+    which sits after N - j layers at u.w0(2 rho) = -u(2 rho), since
+    w0(2 rho) = -2 rho.  So with N = l(w0) the count is the sum over x of
+    W_ceil(N/2)[x] * W_floor(N/2)[-x], where W_j is the layer after j steps.
+    Every element lies below w0, so for w0 an order above the bound is refused
+    at once.
     """
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
-    if m == longest_element(rs) and (order := _group_order(rs)) > state_bound:
+    longest = m == longest_element(rs)
+    if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
     coroots = _simple_coroots(rs.gram2)
     two_rho = _two_rho(rs)
+    length = len(reduced_word_of(rs, m))
     layer = Counter({apply_matrix(m, two_rho): 1})
     states = 1
-    for _ in reduced_word_of(rs, m):
+    for _ in range((length + 1) // 2 if longest else length):
+        previous = layer
         ways: Counter[Root] = Counter()
         for x, k in layer.items():
             for y in _ascents(coroots, x):
@@ -228,6 +247,9 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
         states += len(layer)
         if states > state_bound:
             raise TooLarge(f"reduced-word search exceeded {state_bound} states")
+    if longest:
+        half = previous if length % 2 else layer
+        return sum(k * half[negate(x)] for x, k in layer.items())
     return layer[two_rho]
 
 

@@ -9,16 +9,18 @@ cases and ``conjugated_root`` computes the resulting (positive) root directly.
 
 The identity checks compare two products of reflections by their images of
 2 rho, the sum of the positive roots: 2 rho is regular, so two elements of W
-are equal exactly when they send it to the same vector, and pushing it through
-the factors costs a matrix-vector product per factor where comparing the
-products costs dense matrix products.  The test does not separate W from the
-diagram automorphisms (in A2, -I and w0 both send 2 rho to -2 rho), so it is
-used only where both sides are products of reflections, never on a matrix a
-caller passes in.
+are equal exactly when they send it to the same vector.  The conjugation sweep
+pushes 2 rho through each reflection as a rank-one update,
+s_r(x) = x - <x, r-check> r, at O(n) per reflection where a matrix-vector
+product costs O(n^2) and comparing the products costs dense matrix products.
+The test does not separate W from the diagram automorphisms (in A2, -I and w0
+both send 2 rho to -2 rho), so it is used only where both sides are products
+of reflections, never on a matrix a caller passes in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional
 from .rootsys import Root, RootSystem, _coroots, _dot, _two_rho, is_root, negate, pairing2
@@ -35,14 +37,18 @@ def positive_representative(rs: RootSystem, x: Root) -> Root:
     raise NotARoot(f"{x} is not a root of {rs.type}")
 
 
+def _reflect(x: Root, r: Root, coroot: Root) -> Root:
+    """s_r(x) = x - <x, r-check> r, given the coroot row of r."""
+    c = _dot(x, coroot)
+    return tuple(v - c * w for v, w in zip(x, r)) if c else x
+
+
 def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     """The positive root r with s_delta . s_tau . s_delta == s_r."""
     for x in (delta, tau):
         if not is_root(rs, x):
             raise NotARoot(f"{x} is not a root of {rs.type}")
-    c = _dot(tau, _coroots(rs)[delta])
-    image = tuple(t - c * d for t, d in zip(tau, delta))
-    return positive_representative(rs, image)
+    return positive_representative(rs, _reflect(tau, delta, _coroots(rs)[delta]))
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,14 @@ def classify_conjugation(rs: RootSystem, a: Root, b: Root) -> ConjugationCase | 
     p_ab = pairing2(rs, a, b)
     if p_ab == 0:
         raise Orthogonal(f"{a} and {b} are orthogonal")
-    key = (pairing2(rs, a, a), pairing2(rs, b, b), abs(p_ab))
-    entry = _CASE_TABLE.get(key)
+    return _named_case(pairing2(rs, a, a), pairing2(rs, b, b), p_ab)
+
+
+@lru_cache(maxsize=None)
+def _named_case(p_aa: int, p_bb: int, p_ab: int) -> ConjugationCase | None:
+    """The named pattern of a non-orthogonal pair from its doubled pairings
+    2(a,a), 2(b,b) and 2(a,b), or None outside the table."""
+    entry = _CASE_TABLE.get((p_aa, p_bb, abs(p_ab)))
     if entry is None:
         return None
     rule, k = entry
@@ -182,27 +194,35 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named).
 
     Each pair's literal conjugate s_a . s_b . s_a is compared with s_conj by
-    their images of 2 rho, from each reflection's image of 2 rho computed once.
+    their images of 2 rho: s_a(s_b(s_a(2 rho))) from two rank-one reflections
+    of s_a(2 rho), against s_conj(2 rho).  Each root's image of 2 rho, Gram
+    row G.r and doubled squared length are computed once, so a pair's doubled
+    pairing 2(a, b) is one dot product.
     """
-    refl = {r: reflection_of(rs, r) for r in rs.positive_roots}
+    roots = rs.positive_roots
+    coroots = _coroots(rs)
     two_rho = _two_rho(rs)
-    moved = {r: apply_matrix(m, two_rho) for r, m in refl.items()}
+    moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
+    gram_row = {r: tuple(_dot(row, r) for row in rs.gram2) for r in roots}
+    norm = {r: _dot(r, gram_row[r]) for r in roots}
     pairs = 0
     named = 0
-    for a in rs.positive_roots:
-        for b in rs.positive_roots:
+    for a in roots:
+        a_coroot, a_row, a_norm, a_moved = coroots[a], gram_row[a], norm[a], moved[a]
+        for b in roots:
             if a == b:
                 continue
             pairs += 1
             conj = conjugated_root(rs, a, b)
-            if moved[conj] != _image([refl[a], refl[b]], moved[a]):
+            literal = _reflect(_reflect(a_moved, b, coroots[b]), a, a_coroot)
+            if moved[conj] != literal:
                 return False, pairs, named
-            try:
-                case = classify_conjugation(rs, a, b)
-            except Orthogonal:
+            p_ab = _dot(b, a_row)
+            if p_ab == 0:
                 if conj != b:
                     return False, pairs, named
                 continue
+            case = _named_case(a_norm, norm[b], p_ab)
             if case is not None:
                 named += 1
                 if predicted_conjugate(rs, a, b, case) != conj:

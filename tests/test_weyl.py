@@ -39,6 +39,7 @@ from util import (
     GROUP_ORDER,
     brute_force_reduced_word_count,
     degrees,
+    full_sweep_reduced_word_count,
     generate_group,
     syt_count,
 )
@@ -102,6 +103,14 @@ def test_evaluate_word_is_right_to_left():
         evaluate_word(a2, [1, 3])
     with pytest.raises(BadLetter):
         evaluate_word(a2, [0])
+
+
+def test_evaluate_word_refuses_letters_that_are_not_integers():
+    a2 = system("A2")
+    for letter in [1.0, 1.5, "1", None]:
+        with pytest.raises(BadLetter):
+            evaluate_word(a2, [letter])
+    assert evaluate_word(a2, [True]) == simple_reflection(a2, 1)
 
 
 def test_braid_relations_hold():
@@ -200,6 +209,16 @@ def test_a3_length_histogram():
     for d in elements.values():
         histogram[d] += 1
     assert histogram == [1, 3, 5, 6, 5, 3, 1]
+
+
+def test_walks_check_the_matrix_dimension():
+    a3 = system("A3")
+    too_small = identity_matrix(2)
+    too_tall = identity_matrix(3) + ((0, 0, 0),)
+    for m in [too_small, too_tall]:
+        for walk in [descents, length_of, reduced_word_of]:
+            with pytest.raises(DimensionMismatch):
+                walk(a3, m)
 
 
 def test_descents_characterize_length_drops():
@@ -339,6 +358,15 @@ def test_count_reduced_words_of_every_element():
             if depth[m]:
                 with pytest.raises(TooLarge):
                     count_reduced_words(rs, m, state_bound=len(below[m]) - 1)
+
+
+def test_half_sweep_of_the_longest_element_equals_the_full_sweep():
+    for t in FULL_SWEEP:
+        if prod(degrees(t)) > 10**5:
+            continue
+        rs = system(t)
+        w0 = longest_element(rs)
+        assert count_reduced_words(rs, w0) == full_sweep_reduced_word_count(rs, w0), t
 
 
 def test_longest_element_word_counts_equal_tableau_counts():

@@ -24,6 +24,9 @@ from weyldecomp import (
     system,
     words,
 )
+from weyldecomp.rootsys import _coroots, _two_rho
+
+from util import FULL_SWEEP
 
 
 def test_conjugated_root_fixtures():
@@ -154,6 +157,15 @@ def test_conjugate_keeps_the_target_length():
                     continue
                 conj = conjugated_root(rs, a, b)
                 assert pairing2(rs, conj, conj) == pairing2(rs, b, b)
+
+
+def test_rank_one_reflection_equals_the_reflection_matrix():
+    for t in FULL_SWEEP:
+        rs = system(t)
+        two_rho = _two_rho(rs)
+        for r in rs.positive_roots:
+            expected = apply_matrix(reflection_of(rs, r), two_rho)
+            assert words._reflect(two_rho, r, _coroots(rs)[r]) == expected, (t, r)
 
 
 def test_lambda_v_identity_examples():

@@ -1,18 +1,22 @@
 """Shared sweep lists and independently derived oracles for the test suite."""
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import factorial, prod
 
 from weyldecomp import (
     Matrix,
     RootSystem,
+    apply_matrix,
     compose,
     evaluate_word,
     identity_matrix,
+    length_of,
     simple_reflection,
     system,
 )
+from weyldecomp.rootsys import _ascents, _simple_coroots, _two_rho
 
 # The full sweep of admissible types exercised by the acceptance criteria.
 FULL_SWEEP = (
@@ -84,6 +88,22 @@ def brute_force_reduced_word_count(rs: RootSystem, m: Matrix, length: int) -> in
         if evaluate_word(rs, word) == m:
             hits += 1
     return hits
+
+
+def full_sweep_reduced_word_count(rs: RootSystem, m: Matrix) -> int:
+    """Count reduced words by sweeping all l(m) layers up from m(2 rho): each
+    layer maps every vector to its ascents and adds up the ways, and the
+    last layer holds only 2 rho."""
+    coroots = _simple_coroots(rs.gram2)
+    two_rho = _two_rho(rs)
+    layer = Counter({apply_matrix(m, two_rho): 1})
+    for _ in range(length_of(rs, m)):
+        ways: Counter = Counter()
+        for x, k in layer.items():
+            for y in _ascents(coroots, x):
+                ways[y] += k
+        layer = ways
+    return layer[two_rho]
 
 
 def generate_group(rs: RootSystem) -> dict[Matrix, int]:
