@@ -106,7 +106,7 @@ def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
     queue = [tuple(range(1, rs.rank + 1))]
     for J in queue:
         theta = top[J]
-        perp = _components(rs, [i for i in J if pairing2(rs, rs.simple_root(i), theta) == 0])
+        perp = _components(rs, [i for i in J if _dot(rs.gram2[i - 1], theta) == 0])
         queue.extend(perp)
         yield theta, perp
 

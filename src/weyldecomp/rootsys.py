@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 
 from .errors import (
     DimensionMismatch,
@@ -150,38 +151,60 @@ def _gram2_for(t: RootSystemType) -> Matrix:
     return tuple(tuple(row) for row in g)
 
 
+def _cartan(v: int, den: int) -> int:
+    """2v/den, a Cartan integer: v is a doubled inner product (x, a) and den
+    the doubled squared length (a, a) of a root a."""
+    q, rem = divmod(2 * v, den)
+    assert rem == 0, "Cartan integer must be exact for lattice vectors"
+    return q
+
+
 def _coroot(gram2: Matrix, a: Root) -> Root:
     """The Cartan integers <a_j, a-check> = 2*(a_j, a)/(a, a), j = 1..n, of a
     root a: its coroot in the basis dual to the simple roots, so that
     <x, a-check> is the dot product of x with it."""
     ga = [sum(g * c for g, c in zip(row, a) if c) for row in gram2]
     den = sum(c * v for c, v in zip(a, ga))
-    out = []
-    for v in ga:
-        q, rem = divmod(2 * v, den)
-        assert rem == 0, "Cartan integer must be exact for lattice vectors"
-        out.append(q)
-    return tuple(out)
+    return tuple(_cartan(v, den) for v in ga)
+
+
+# A Cartan row kept sparse: the (j, c_j) pairs of its nonzero entries.
+SparseRow = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def _simple_coroots(gram2: Matrix) -> tuple[Root, ...]:
-    """The Cartan rows ``_coroot(gram2, a_i)`` of the simple roots, computed
-    once per system; row i is nonzero only at i and its Dynkin neighbours."""
-    n = len(gram2)
-    return tuple(_coroot(gram2, tuple(int(j == i) for j in range(n))) for i in range(n))
+def _simple_coroots(gram2: Matrix) -> tuple[SparseRow, ...]:
+    """The Cartan rows of the simple roots, computed once per system and
+    read straight off the Gram matrix, c_ij = <a_j, a_i-check> = 2 g_ij / g_ii.
+    Row i is nonzero only at i and its Dynkin neighbours, so it is kept as
+    its (j, c_ij) pairs, at most four of them."""
+    return tuple(
+        tuple((j, _cartan(g, row[i])) for j, g in enumerate(row) if g)
+        for i, row in enumerate(gram2)
+    )
 
 
 def _dot(x: Root, y: Root) -> int:
     return sum(map(mul, x, y))
 
 
-def _ascents(coroots, x: Root):
+def _sub_multiple(x: Root, c: int, v: Root) -> Root:
+    """x - c*v, one C-level map over the two vectors."""
+    if c == 1:
+        return tuple(map(sub, x, v))
+    if c == -1:
+        return tuple(map(add, x, v))
+    return tuple(map(sub, x, map(mul, repeat(c), v)))
+
+
+def _ascents(coroots: tuple[SparseRow, ...], x: Root):
     """s_i(x) = x - <x, a_i-check> a_i for every simple root a_i with
-    <x, a_i-check> < 0, given the simple coroots: the simple reflections
-    that move x up, towards the dominant chamber."""
-    for i, c in enumerate(coroots):
-        k = _dot(x, c)
+    <x, a_i-check> < 0, given the sparse simple Cartan rows: the simple
+    reflections that move x up, towards the dominant chamber."""
+    for i, row in enumerate(coroots):
+        k = 0
+        for j, c in row:
+            k += x[j] * c
         if k < 0:
             yield x[:i] + (x[i] - k,) + x[i + 1 :]
 
@@ -316,10 +339,12 @@ def highest_root_of(rs: RootSystem, J) -> Root:
     return _highest_by_support(rs)[_connected_index_set(rs, J)]
 
 
+@lru_cache(maxsize=None)
 def _highest_by_support(rs: RootSystem) -> dict[tuple[int, ...], Root]:
-    """The highest root of the connected standard parabolic on each support:
-    every root has a connected support, and the highest root of a connected
-    parabolic has full support, so it is the last root listed with it."""
+    """The highest root of the connected standard parabolic on each support,
+    computed once per system: every root has a connected support, and the
+    highest root of a connected parabolic has full support, so it is the
+    last root listed with it."""
     return {support(r): r for r in rs.positive_roots}
 
 
@@ -333,29 +358,34 @@ def dominance_leq(x: Root, y: Root) -> bool:
 def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...]):
     """The lexicographically smallest map p -> nodes[...] under which the
     Cartan integers of ``gram2`` match those of ``outer``, as a tuple, or
-    None.  The walk tries nodes in ascending order, so its first complete map
-    is the smallest."""
+    None.  A node j fits p when the placed nodes adjacent to j are the images
+    of the earlier neighbours of p, with the same Cartan integers both ways.
+    So p tries, in ascending order, only the nodes adjacent to the image of
+    one earlier neighbour, and all of ``nodes`` when it has none; the walk's
+    first complete map is still the smallest."""
     k = len(gram2)
-    c_in = _simple_coroots(gram2)
-    c_out = _simple_coroots(outer.gram2)
+    c_in = [{q + 1: c for q, c in row} for row in _simple_coroots(gram2)]
+    rows = _simple_coroots(outer.gram2)
+    c_out = {j: {i + 1: c for i, c in rows[j - 1] if i + 1 in nodes} for j in nodes}
     assignment: list[int] = []
+    placed: set[int] = set()
 
     def extend(p: int) -> tuple[int, ...] | None:
         if p > k:
             return tuple(assignment)
-        for j in nodes:
-            if j in assignment:
+        want = {assignment[q - 1]: (c, c_in[q - 1][p]) for q, c in c_in[p - 1].items() if q < p}
+        candidates = sorted(c_out[next(iter(want))]) if want else nodes
+        for j in candidates:
+            if j in placed:
                 continue
-            if all(
-                c_in[q - 1][p - 1] == c_out[jq - 1][j - 1]
-                and c_in[p - 1][q - 1] == c_out[j - 1][jq - 1]
-                for q, jq in enumerate(assignment, start=1)
-            ):
+            if want == {jq: (c, c_out[jq][j]) for jq, c in c_out[j].items() if jq in placed}:
                 assignment.append(j)
+                placed.add(j)
                 found = extend(p + 1)
                 if found:
                     return found
                 assignment.pop()
+                placed.discard(j)
         return None
 
     return extend(1)

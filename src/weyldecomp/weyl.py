@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from operator import index
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
@@ -21,10 +20,12 @@ from .rootsys import (
     Matrix,
     Root,
     RootSystem,
+    SparseRow,
     _ascents,
     _coroot,
     _dot,
     _simple_coroots,
+    _sub_multiple,
     _two_rho,
     is_root,
     negate,
@@ -58,12 +59,12 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
-def _right_reflect(cols: list[Root], v: Root, c: Root) -> None:
+def _right_reflect(cols: list[Root], v: Root, row: SparseRow) -> None:
     """Multiply an element, given as its list of columns, by s_a on the right
-    in place, where v is the element's image of a and c the Cartan row of a."""
-    for j in compress(range(len(c)), c):
-        cj = c[j]
-        cols[j] = tuple(x - cj * y for x, y in zip(cols[j], v))
+    in place, where v is the element's image of a and row the nonzero
+    entries (j, c_j) of the Cartan row of a."""
+    for j, cj in row:
+        cols[j] = _sub_multiple(cols[j], cj, v)
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
@@ -79,7 +80,8 @@ def reflection_product(rs: RootSystem, roots) -> Matrix:
             _right_reflect(cols, cols[i], simple[i])
         else:
             image = tuple(_dot(row, r) for row in zip(*cols))
-            _right_reflect(cols, image, _coroot(rs.gram2, r))
+            nonzero = [(j, c) for j, c in enumerate(_coroot(rs.gram2, r)) if c]
+            _right_reflect(cols, image, nonzero)
     return tuple(zip(*cols))
 
 
@@ -117,19 +119,28 @@ def _sends_positive(col: Root) -> bool:
     return col > zero
 
 
+def _check_shape(rs: RootSystem, m: Matrix) -> None:
+    """Raise DimensionMismatch unless m has rank-many rows, each of that length."""
+    if len(m) != rs.rank:
+        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    for row in m:
+        if len(row) != rs.rank:
+            raise DimensionMismatch(
+                f"{len(m)}-row matrix with a row of length {len(row)} "
+                f"in a rank-{rs.rank} system"
+            )
+
+
 def length_of(rs: RootSystem, m: Matrix) -> int:
     """Coxeter length: the length of a reduced word for m, which is the number
     of positive roots m sends to negative roots.  A matrix outside W, even one
     that permutes the roots such as a diagram automorphism, raises ValueError."""
-    if len(m) != rs.rank:
-        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
     return len(reduced_word_of(rs, m))
 
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
-    if len(m) != rs.rank:
-        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    _check_shape(rs, m)
     columns = (tuple(row[i - 1] for row in m) for i in range(1, rs.rank + 1))
     return [i for i, col in enumerate(columns, 1) if not _sends_positive(col)]
 
@@ -178,8 +189,7 @@ def classify_longest(rs: RootSystem) -> LongestClassification:
 
 def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     """A canonical reduced word for m: repeatedly strip the smallest descent."""
-    if len(m) != rs.rank:
-        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    _check_shape(rs, m)
     simple = _simple_coroots(rs.gram2)
     cols = list(zip(*m))
     letters: list[int] = []
@@ -224,8 +234,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     Every element lies below w0, so for w0 an order above the bound is refused
     at once.
     """
-    if len(m) != rs.rank:
-        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    _check_shape(rs, m)
     longest = m == longest_element(rs)
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(

@@ -23,7 +23,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional
-from .rootsys import Root, RootSystem, _coroots, _dot, _two_rho, is_root, negate, pairing2
+from .rootsys import (
+    Root,
+    RootSystem,
+    _coroots,
+    _dot,
+    _sub_multiple,
+    _two_rho,
+    is_root,
+    negate,
+    pairing2,
+)
 from .weyl import apply_matrix, evaluate_word, reflection_of
 
 
@@ -40,7 +50,7 @@ def positive_representative(rs: RootSystem, x: Root) -> Root:
 def _reflect(x: Root, r: Root, coroot: Root) -> Root:
     """s_r(x) = x - <x, r-check> r, given the coroot row of r."""
     c = _dot(x, coroot)
-    return tuple(v - c * w for v, w in zip(x, r)) if c else x
+    return _sub_multiple(x, c, r) if c else x
 
 
 def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:

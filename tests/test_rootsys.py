@@ -24,9 +24,16 @@ from weyldecomp import (
     support,
     system,
 )
-from weyldecomp.rootsys import _coroot, _coroots, negate
+from weyldecomp.rootsys import (
+    _coroot,
+    _coroots,
+    _diagram_bijection,
+    _gram2_for,
+    _simple_coroots,
+    negate,
+)
 
-from util import FULL_SWEEP, POSITIVE_ROOT_COUNT
+from util import FULL_SWEEP, POSITIVE_ROOT_COUNT, exhaustive_diagram_bijection
 
 
 def test_admissible_types_parse():
@@ -237,6 +244,32 @@ def test_parabolic_embedding_preserves_cartan_integers():
                 assert lhs == rhs
 
 
+def test_pruned_diagram_match_equals_the_exhaustive_walk():
+    # Every family of the subset's rank against every connected subset: the
+    # pruned walk and the exhaustive reference agree, on misses (None) too,
+    # and every subset matches some family.
+    subsets = 0
+    for t in ["A6", "B6", "C6", "D4", "D6", "E6", "E7", "E8", "F4", "G2"]:
+        rs = system(t)
+        for bits in range(1, 1 << rs.rank):
+            nodes = tuple(i for i in range(1, rs.rank + 1) if bits >> (i - 1) & 1)
+            if not is_connected(rs, nodes):
+                continue
+            matches = []
+            for fam in "ABCDEFG":
+                try:
+                    inner = RootSystemType(fam, len(nodes))
+                except InvalidType:
+                    continue
+                gram2 = _gram2_for(inner)
+                match = _diagram_bijection(gram2, rs, nodes)
+                assert match == exhaustive_diagram_bijection(gram2, rs, nodes), (t, nodes, fam)
+                matches.append(match)
+            assert any(matches), (t, nodes)
+            subsets += 1
+    assert subsets == 214
+
+
 def test_parabolic_embedding_rejects_disconnected():
     with pytest.raises(UnrecognizedDiagram):
         parabolic_embedding(system("A4"), (1, 3))
@@ -260,6 +293,17 @@ def test_format_root():
 
 def test_root_system_instances_are_shared():
     assert system("F4") is build_root_system(RootSystemType("F", 4))
+
+
+def test_simple_cartan_rows_read_off_the_gram_matrix_equal_the_coroots():
+    grams = [system(t).gram2 for t in FULL_SWEEP]
+    grams += [_gram2_for(RootSystemType(fam, 64)) for fam in "ABCD"]
+    for gram2 in grams:
+        n = len(gram2)
+        for i, row in enumerate(_simple_coroots(gram2)):
+            dense = _coroot(gram2, tuple(int(j == i) for j in range(n)))
+            assert row == tuple((j, c) for j, c in enumerate(dense) if c), (n, i)
+            assert len(row) <= 4
 
 
 def test_coroot_table_matches_the_coroot_of_every_root():

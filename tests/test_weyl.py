@@ -215,8 +215,10 @@ def test_walks_check_the_matrix_dimension():
     a3 = system("A3")
     too_small = identity_matrix(2)
     too_tall = identity_matrix(3) + ((0, 0, 0),)
-    for m in [too_small, too_tall]:
-        for walk in [descents, length_of, reduced_word_of]:
+    too_wide = tuple(row + (0,) for row in identity_matrix(3))
+    ragged = ((1, 0, 0), (0, 1), (0, 0, 1))
+    for m in [too_small, too_tall, too_wide, ragged]:
+        for walk in [descents, length_of, reduced_word_of, count_reduced_words]:
             with pytest.raises(DimensionMismatch):
                 walk(a3, m)
 
@@ -331,6 +333,27 @@ def test_walks_equal_a_dense_fold_of_defined_reflections():
         if rs.family in "BC":
             frame = epsilon_factorization(rs)
             assert reflection_product(rs, frame) == fold(frame) == w0, t
+
+
+def test_column_kernel_equals_dense_compose_on_random_words():
+    # Products of reflections in random roots, positive and negative, so the
+    # kernel's update col_j - c_j v meets c_j = +-1, +-2 (B, C, F4) and
+    # +-3 (G2), each against the dense fold of defined reflections.
+    for t, top in {"A4": 1, "B4": 2, "C4": 2, "F4": 2, "G2": 3}.items():
+        rs = system(t)
+        roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
+        rng = random.Random(t)
+        seen = set()
+        for _ in range(30):
+            word = [rng.choice(roots) for _ in range(rng.randint(1, 10))]
+            dense = reduce(compose, (_defined_reflection(rs, r) for r in word))
+            assert reflection_product(rs, word) == dense, (t, word)
+            seen.update(
+                cartan_integer(rs, rs.simple_root(j), r)
+                for r in word
+                for j in range(1, rs.rank + 1)
+            )
+        assert {1, -1, top, -top} <= seen, t
 
 
 def test_count_reduced_words_refuses_large_longest_element_at_once():

@@ -16,7 +16,7 @@ from weyldecomp import (
     simple_reflection,
     system,
 )
-from weyldecomp.rootsys import _ascents, _simple_coroots, _two_rho
+from weyldecomp.rootsys import _ascents, _coroot, _simple_coroots, _two_rho
 
 # The full sweep of admissible types exercised by the acceptance criteria.
 FULL_SWEEP = (
@@ -104,6 +104,43 @@ def full_sweep_reduced_word_count(rs: RootSystem, m: Matrix) -> int:
                 ways[y] += k
         layer = ways
     return layer[two_rho]
+
+
+def exhaustive_diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...]):
+    """Reference for ``rootsys._diagram_bijection``: the lexicographically
+    smallest map p -> nodes[...] under which the Cartan integers of ``gram2``
+    match those of ``outer``, as a tuple, or None.  Every free node is tried
+    for every position, in ascending order, against the dense Cartan rows
+    ``_coroot(gram2, a_i)``, so the first complete map is the smallest."""
+
+    def cartan_rows(g: Matrix) -> list[tuple[int, ...]]:
+        n = len(g)
+        return [_coroot(g, tuple(int(j == i) for j in range(n))) for i in range(n)]
+
+    k = len(gram2)
+    c_in = cartan_rows(gram2)
+    c_out = cartan_rows(outer.gram2)
+    assignment: list[int] = []
+
+    def extend(p: int):
+        if p > k:
+            return tuple(assignment)
+        for j in nodes:
+            if j in assignment:
+                continue
+            if all(
+                c_in[q - 1][p - 1] == c_out[jq - 1][j - 1]
+                and c_in[p - 1][q - 1] == c_out[j - 1][jq - 1]
+                for q, jq in enumerate(assignment, start=1)
+            ):
+                assignment.append(j)
+                found = extend(p + 1)
+                if found:
+                    return found
+                assignment.pop()
+        return None
+
+    return extend(1)
 
 
 def generate_group(rs: RootSystem) -> dict[Matrix, int]:
