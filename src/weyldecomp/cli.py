@@ -104,10 +104,6 @@ def _render_json(value, indent: int) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
 
 
-def _dumps(payload: dict) -> str:
-    return _render_json(payload, 0) + "\n"
-
-
 def _fmt_set(J) -> str:
     return "{" + ",".join(str(i) for i in J) + "}"
 
@@ -125,22 +121,20 @@ def _factor_text(factor) -> str:
     return f"{format_root(factor.root)} (simple)"
 
 
-def _cmd_info(ns) -> tuple[int, str]:
+def _cmd_info(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     n_pos = len(rs.positive_roots)
     cls = classify_longest(rs)
-    if ns.json:
-        payload = {
-            "type": str(rs.type),
-            "rank": rs.rank,
-            "positive_root_count": n_pos,
-            "longest_length": n_pos,
-            "classification": cls.kind,
-        }
-        if cls.kind == "minus_automorphism":
-            payload["automorphism"] = list(cls.automorphism)
-        payload["highest_root"] = list(rs.highest_root)
-        return 0, _dumps(payload)
+    payload = {
+        "type": str(rs.type),
+        "rank": rs.rank,
+        "positive_root_count": n_pos,
+        "longest_length": n_pos,
+        "classification": cls.kind,
+    }
+    if cls.kind == "minus_automorphism":
+        payload["automorphism"] = list(cls.automorphism)
+    payload["highest_root"] = list(rs.highest_root)
     lines = [
         f"type: {rs.type}",
         f"rank: {rs.rank}",
@@ -149,118 +143,93 @@ def _cmd_info(ns) -> tuple[int, str]:
         f"classification: {cls.kind}",
         f"highest root: {format_root(rs.highest_root)}",
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, payload, lines
 
 
-def _cmd_w0(ns) -> tuple[int, str]:
+def _cmd_w0(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     w0 = longest_element(rs)
     cls = classify_longest(rs)
-    if ns.json:
-        payload = {
-            "type": str(rs.type),
-            "classification": cls.kind,
-            "automorphism": list(cls.automorphism),
-            "length": length_of(rs, w0),
-            "matrix": [list(row) for row in w0],
-        }
-        return 0, _dumps(payload)
+    length = length_of(rs, w0)
+    payload = {
+        "type": str(rs.type),
+        "classification": cls.kind,
+        "automorphism": list(cls.automorphism),
+        "length": length,
+        "matrix": [list(row) for row in w0],
+    }
     lines = [f"classification: {cls.kind}"]
     if cls.kind == "minus_automorphism":
         lines.append(
             "automorphism: " + " ".join(f"{i}->{s}" for i, s in enumerate(cls.automorphism, 1))
         )
-    lines.append(f"length: {length_of(rs, w0)}")
+    lines.append(f"length: {length}")
     lines.append("matrix:")
     width = max(len(str(e)) for row in w0 for e in row)
     for row in w0:
         lines.append("  " + " ".join(f"{e:>{width}}" for e in row))
-    return 0, "\n".join(lines) + "\n"
+    return 0, payload, lines
 
 
-def _cmd_decompose(ns) -> tuple[int, str]:
+def _cmd_decompose(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     dec = canonical_decomposition(rs)
-    if ns.json:
-        return 0, _dumps(
-            {
-                "type": str(rs.type),
-                "factors": [_factor_payload(f) for f in dec.factors],
-            }
-        )
+    payload = {"type": str(rs.type), "factors": [_factor_payload(f) for f in dec.factors]}
     lines = [f"factors: {len(dec.factors)}"]
     for i, f in enumerate(dec.factors, 1):
         lines.append(f"{i}: {_factor_text(f)}")
-    return 0, "\n".join(lines) + "\n"
+    return 0, payload, lines
 
 
-def _cmd_verify(ns) -> tuple[int, str]:
+def _cmd_verify(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     report = verify_decomposition(rs, canonical_decomposition(rs))
     checks = dataclasses.asdict(report)
     ok = report.all_ok()
-    code = 0 if ok else 1
-    if ns.json:
-        return code, _dumps({"type": str(rs.type), "checks": checks, "ok": ok})
     lines = [f"{name}: {str(value).lower()}" for name, value in checks.items()]
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return code, "\n".join(lines) + "\n"
+    return 0 if ok else 1, {"type": str(rs.type), "checks": checks, "ok": ok}, lines
 
 
-def _cmd_unique(ns) -> tuple[int, str]:
+def _cmd_unique(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     decs = enumerate_max_orthogonal(rs, size_bound=ns.bound)
-    code = 0 if len(decs) == 1 else 1
-    if ns.json:
-        return code, _dumps(
-            {
-                "type": str(rs.type),
-                "count": len(decs),
-                "decompositions": [
-                    [_factor_payload(f) for f in d.factors] for d in decs
-                ],
-                "unique": len(decs) == 1,
-            }
-        )
+    unique = len(decs) == 1
+    payload = {
+        "type": str(rs.type),
+        "count": len(decs),
+        "decompositions": [[_factor_payload(f) for f in d.factors] for d in decs],
+        "unique": unique,
+    }
     lines = [f"decompositions found: {len(decs)}"]
     for i, d in enumerate(decs, 1):
         lines.append(f"{i}: " + " | ".join(format_root(r) for r in d.roots))
-    lines.append(f"result: {'UNIQUE' if len(decs) == 1 else 'NOT UNIQUE'}")
-    return code, "\n".join(lines) + "\n"
+    lines.append(f"result: {'UNIQUE' if unique else 'NOT UNIQUE'}")
+    return 0 if unique else 1, payload, lines
 
 
-def _cmd_tower(ns) -> tuple[int, str]:
+def _cmd_tower(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
-    tower = parabolic_tower(rs)
-    if ns.json:
-        return 0, _dumps(
-            {
-                "type": str(rs.type),
-                "tower": [list(J) for J in tower.supports],
-            }
-        )
-    chain = " < ".join(_fmt_set(J) for J in tower.supports)
-    return 0, f"tower: {chain}\n"
+    supports = parabolic_tower(rs).supports
+    payload = {"type": str(rs.type), "tower": [list(J) for J in supports]}
+    return 0, payload, ["tower: " + " < ".join(_fmt_set(J) for J in supports)]
 
 
-def _cmd_recursion(ns) -> tuple[int, str]:
+def _cmd_recursion(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     holds = recursion_relation_check(rs)
-    code = 0 if holds else 1
-    if ns.json:
-        return code, _dumps({"type": str(rs.type), "recursion_holds": holds})
-    return code, f"recursion relation holds: {str(holds).lower()}\n"
+    payload = {"type": str(rs.type), "recursion_holds": holds}
+    return 0 if holds else 1, payload, [f"recursion relation holds: {str(holds).lower()}"]
 
 
-def _cmd_count_words(ns) -> tuple[int, str]:
+def _cmd_count_words(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     count = count_reduced_words(rs, longest_element(rs))
-    if ns.json:
-        return 0, _dumps({"type": str(rs.type), "count": str(count)})
-    return 0, f"reduced words for the longest element: {count}\n"
+    payload = {"type": str(rs.type), "count": str(count)}
+    return 0, payload, [f"reduced words for the longest element: {count}"]
 
 
-def _cmd_check_identities(ns) -> tuple[int, str]:
+def _cmd_check_identities(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     checks: dict[str, bool] = {}
     lines: list[str] = []
@@ -283,14 +252,11 @@ def _cmd_check_identities(ns) -> tuple[int, str]:
         checks["cross_pairing"] = ok
         lines.append(f"cross-pairing parity: {'PASS' if ok else 'FAIL'}")
     all_ok = all(checks.values())
-    code = 0 if all_ok else 1
-    if ns.json:
-        return code, _dumps({"type": str(rs.type), "checks": checks, "ok": all_ok})
     lines.append(f"result: {'PASS' if all_ok else 'FAIL'}")
-    return code, "\n".join(lines) + "\n"
+    return 0 if all_ok else 1, {"type": str(rs.type), "checks": checks, "ok": all_ok}, lines
 
 
-def _cmd_export(ns) -> tuple[int, str]:
+def _cmd_export(ns) -> tuple[int, dict, list[str]]:
     rs = ns.rs
     dec = canonical_decomposition(rs)
     cls = classify_longest(rs)
@@ -306,7 +272,7 @@ def _cmd_export(ns) -> tuple[int, str]:
         payload["automorphism"] = list(cls.automorphism)
     payload["factors"] = [_factor_payload(f) for f in dec.factors]
     payload["tower"] = [list(J) for J in tower.supports]
-    return 0, _dumps(payload)
+    return 0, payload, []
 
 
 # Each verb's help line and handler, in the order --help lists them.
@@ -338,10 +304,13 @@ def run(argv) -> tuple[int, str, str]:
     except _Stop as stop:
         return stop.args
     try:
-        code, out = _VERBS[ns.verb][1](ns)
+        code, payload, lines = _VERBS[ns.verb][1](ns)
     except WeylError as exc:
         return 1, "", f"error: {exc}\n"
-    return code, out, ""
+    # export has no text form: it always renders its payload as JSON.
+    if ns.json or ns.verb == "export":
+        return code, _render_json(payload, 0) + "\n", ""
+    return code, "\n".join(lines) + "\n", ""
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,7 @@ from .rootsys import (
     _coroots,
     _dot,
     _highest_by_support,
+    _pair,
     dominance_leq,
     highest_root_of,
     is_root,
@@ -149,13 +150,7 @@ class VerificationReport:
     count_ok: bool
 
     def all_ok(self) -> bool:
-        return (
-            self.orthogonal
-            and self.highest_root_ok
-            and self.chain_ok
-            and self.product_is_w0
-            and self.count_ok
-        )
+        return all(vars(self).values())
 
 
 def _pairwise_orthogonal(rs: RootSystem, roots) -> bool:
@@ -219,7 +214,7 @@ def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
     def compatible(i: int, j: int) -> bool:
         si, sj = supports[i], supports[j]
         loose = (si & sj) in (si, sj) or si.bit_count() == 1 or sj.bit_count() == 1
-        return loose and _dot(pool[j], coroots[pool[i]]) == 0
+        return loose and _pair(pool[j], coroots[pool[i]]) == 0
 
     return [
         sum(1 << j for j in range(i + 1, len(pool)) if compatible(i, j))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul, sub
 
 from .errors import (
@@ -106,6 +106,11 @@ class RootSystem:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
 
+def identity_matrix(n: int) -> Matrix:
+    """The n x n identity; its rows are the simple roots."""
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+
+
 def _gram2_for(t: RootSystemType) -> Matrix:
     fam, n = t.family, t.rank
     diag = [4] * n
@@ -151,37 +156,47 @@ def _gram2_for(t: RootSystemType) -> Matrix:
     return tuple(tuple(row) for row in g)
 
 
-def _cartan(v: int, den: int) -> int:
-    """2v/den, a Cartan integer: v is a doubled inner product (x, a) and den
-    the doubled squared length (a, a) of a root a."""
-    q, rem = divmod(2 * v, den)
-    assert rem == 0, "Cartan integer must be exact for lattice vectors"
-    return q
-
-
-def _coroot(gram2: Matrix, a: Root) -> Root:
-    """The Cartan integers <a_j, a-check> = 2*(a_j, a)/(a, a), j = 1..n, of a
-    root a: its coroot in the basis dual to the simple roots, so that
-    <x, a-check> is the dot product of x with it."""
-    ga = [sum(g * c for g, c in zip(row, a) if c) for row in gram2]
-    den = sum(c * v for c, v in zip(a, ga))
-    return tuple(_cartan(v, den) for v in ga)
-
-
-# A Cartan row kept sparse: the (j, c_j) pairs of its nonzero entries.
+# A coroot kept sparse: the (j, c_j) pairs of its nonzero Cartan integers.
 SparseRow = tuple[tuple[int, int], ...]
+
+
+def _combination(vectors, a: Root) -> Root:
+    """The sum of a_k * vectors[k] over the support of a: M a from the
+    columns of M, and G a from the rows of the symmetric Gram matrix G."""
+    total = (0,) * len(vectors[0])
+    for k in compress(range(len(a)), a):
+        total = _sub_multiple(total, -a[k], vectors[k])
+    return total
+
+
+def _coroot(gram2: Matrix, a: Root) -> SparseRow:
+    """The coroot of a root a in the basis dual to the simple roots: the
+    Cartan integers c_j = <a_j, a-check> = 2*(a_j, a)/(a, a), kept as the
+    (j, c_j) pairs of the nonzero ones.  G a is the sum of the Gram rows on
+    a's support, so a simple root costs one row read."""
+    ga = _combination(gram2, a)
+    den = _dot(a, ga)
+    row = []
+    for j in compress(range(len(ga)), ga):
+        c, rem = divmod(2 * ga[j], den)
+        assert rem == 0, "Cartan integer must be exact for lattice vectors"
+        row.append((j, c))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def _simple_coroots(gram2: Matrix) -> tuple[SparseRow, ...]:
-    """The Cartan rows of the simple roots, computed once per system and
-    read straight off the Gram matrix, c_ij = <a_j, a_i-check> = 2 g_ij / g_ii.
-    Row i is nonzero only at i and its Dynkin neighbours, so it is kept as
-    its (j, c_ij) pairs, at most four of them."""
-    return tuple(
-        tuple((j, _cartan(g, row[i])) for j, g in enumerate(row) if g)
-        for i, row in enumerate(gram2)
-    )
+    """The coroots of the simple roots, computed once per system.  Row i is
+    nonzero only at i and its Dynkin neighbours, at most four entries."""
+    return tuple(_coroot(gram2, a) for a in identity_matrix(len(gram2)))
+
+
+def _pair(x: Root, row: SparseRow) -> int:
+    """<x, a-check>, given the coroot of a as its sparse row."""
+    k = 0
+    for j, c in row:
+        k += x[j] * c
+    return k
 
 
 def _dot(x: Root, y: Root) -> int:
@@ -215,9 +230,9 @@ def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
     <r, a_i-check> > 0, and s_i(r) is a lower positive root that moves up to
     r.  Ordering is by height, ties broken lexicographically.
     """
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     coroots = _simple_coroots(gram2)
-    roots, new = set(simples), simples
+    new = identity_matrix(n)
+    roots = set(new)
     while new:
         new = {y for x in new for y in _ascents(coroots, x)} - roots
         roots |= new
@@ -269,14 +284,14 @@ def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
 
 
 @lru_cache(maxsize=None)
-def _coroots(rs: RootSystem) -> dict[Root, Root]:
-    """The coroot row ``_coroot(rs.gram2, r)`` of every root r, positive and
+def _coroots(rs: RootSystem) -> dict[Root, SparseRow]:
+    """The coroot ``_coroot(rs.gram2, r)`` of every root r, positive and
     negative, computed once per system; the row of -r is minus that of r."""
     table = {}
     for r in rs.positive_roots:
-        c = _coroot(rs.gram2, r)
-        table[r] = c
-        table[negate(r)] = negate(c)
+        row = _coroot(rs.gram2, r)
+        table[r] = row
+        table[negate(r)] = tuple((j, -c) for j, c in row)
     return table
 
 
@@ -292,7 +307,7 @@ def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
         raise NotARoot(f"{a} is not a root of {rs.type}")
     if len(x) != rs.rank:
         raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
-    return _dot(x, _coroots(rs)[a])
+    return _pair(x, _coroots(rs)[a])
 
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:

@@ -22,29 +22,26 @@ from .rootsys import (
     RootSystem,
     SparseRow,
     _ascents,
+    _combination,
     _coroot,
     _dot,
     _simple_coroots,
     _sub_multiple,
     _two_rho,
+    identity_matrix,
     is_root,
     negate,
     pairing2,
 )
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def matrix_neg(m: Matrix) -> Matrix:
-    return tuple(tuple(-e for e in row) for row in m)
-
-
 def apply_matrix(m: Matrix, x: Root) -> Root:
     """Apply m to a coefficient vector (columns are images of simple roots)."""
     if len(x) != len(m):
         raise DimensionMismatch(f"vector of length {len(x)} under a {len(m)}x{len(m)} matrix")
+    for row in m:
+        if len(row) != len(x):
+            raise DimensionMismatch(f"vector of length {len(x)} under a row of length {len(row)}")
     return tuple(_dot(row, x) for row in m)
 
 
@@ -61,8 +58,7 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
 
 def _right_reflect(cols: list[Root], v: Root, row: SparseRow) -> None:
     """Multiply an element, given as its list of columns, by s_a on the right
-    in place, where v is the element's image of a and row the nonzero
-    entries (j, c_j) of the Cartan row of a."""
+    in place, where v is the element's image of a and row the coroot of a."""
     for j, cj in row:
         cols[j] = _sub_multiple(cols[j], cj, v)
 
@@ -79,9 +75,7 @@ def reflection_product(rs: RootSystem, roots) -> Matrix:
             i = r.index(1)
             _right_reflect(cols, cols[i], simple[i])
         else:
-            image = tuple(_dot(row, r) for row in zip(*cols))
-            nonzero = [(j, c) for j, c in enumerate(_coroot(rs.gram2, r)) if c]
-            _right_reflect(cols, image, nonzero)
+            _right_reflect(cols, _combination(cols, r), _coroot(rs.gram2, r))
     return tuple(zip(*cols))
 
 
@@ -177,11 +171,11 @@ def classify_longest(rs: RootSystem) -> LongestClassification:
     w0 = longest_element(rs)
     n = rs.rank
     perm = []
-    for col in zip(*matrix_neg(w0)):
-        assert sum(abs(c) for c in col) == 1 and sum(col) == 1, (
+    for col in zip(*w0):
+        assert sum(map(abs, col)) == 1 and sum(col) == -1, (
             "minus the longest element must permute the simple roots"
         )
-        perm.append(col.index(1) + 1)
+        perm.append(col.index(-1) + 1)
     sigma = tuple(perm)
     kind = "minus_identity" if sigma == tuple(range(1, n + 1)) else "minus_automorphism"
     return LongestClassification(kind=kind, automorphism=sigma)
@@ -263,12 +257,9 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
 
 
 def preserves_form(rs: RootSystem, m: Matrix) -> bool:
-    """True iff m preserves the doubled Gram pairing (is an orthogonal map)."""
-    n = rs.rank
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            ei = rs.simple_root(i)
-            ej = rs.simple_root(j)
-            if pairing2(rs, apply_matrix(m, ei), apply_matrix(m, ej)) != pairing2(rs, ei, ej):
-                return False
-    return True
+    """True iff m preserves the doubled Gram pairing (is an orthogonal map):
+    the images of the simple roots pair as the Gram matrix says."""
+    images = [apply_matrix(m, a) for a in identity_matrix(rs.rank)]
+    return all(
+        pairing2(rs, x, y) == g for x, row in zip(images, rs.gram2) for y, g in zip(images, row)
+    )

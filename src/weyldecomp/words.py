@@ -7,15 +7,13 @@ s_a(b) is b -/+ k*a with k determined entirely by the squared lengths of a and
 b and the sign of their inner product; ``classify_conjugation`` names these
 cases and ``conjugated_root`` computes the resulting (positive) root directly.
 
-The identity checks compare two products of reflections by their images of
-2 rho, the sum of the positive roots: 2 rho is regular, so two elements of W
-are equal exactly when they send it to the same vector.  The conjugation sweep
-pushes 2 rho through each reflection as a rank-one update,
-s_r(x) = x - <x, r-check> r, at O(n) per reflection where a matrix-vector
-product costs O(n^2) and comparing the products costs dense matrix products.
-The test does not separate W from the diagram automorphisms (in A2, -I and w0
-both send 2 rho to -2 rho), so it is used only where both sides are products
-of reflections, never on a matrix a caller passes in.
+The identity checks compare exact products of reflections.  Only the sweep
+over all pairs of roots compares by images of 2 rho, the sum of the positive
+roots: 2 rho is regular, so two elements of W are equal exactly when they
+send it to the same vector, and a reflection moves a vector by the rank-one
+update s_r(x) = x - <x, r-check> r at O(n).  The test does not separate W
+from the diagram automorphisms (in A2, -I and w0 both send 2 rho to -2 rho);
+in the sweep both sides are products of reflections, so it is exact there.
 """
 from __future__ import annotations
 
@@ -26,15 +24,18 @@ from .errors import BadRange, NotARoot, Orthogonal, Proportional
 from .rootsys import (
     Root,
     RootSystem,
+    SparseRow,
+    _combination,
     _coroots,
     _dot,
+    _pair,
     _sub_multiple,
     _two_rho,
     is_root,
     negate,
     pairing2,
 )
-from .weyl import apply_matrix, evaluate_word, reflection_of
+from .weyl import evaluate_word, reflection_of, reflection_product
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
@@ -47,9 +48,9 @@ def positive_representative(rs: RootSystem, x: Root) -> Root:
     raise NotARoot(f"{x} is not a root of {rs.type}")
 
 
-def _reflect(x: Root, r: Root, coroot: Root) -> Root:
-    """s_r(x) = x - <x, r-check> r, given the coroot row of r."""
-    c = _dot(x, coroot)
+def _reflect(x: Root, r: Root, coroot: SparseRow) -> Root:
+    """s_r(x) = x - <x, r-check> r, given the coroot of r."""
+    c = _pair(x, coroot)
     return _sub_multiple(x, c, r) if c else x
 
 
@@ -164,40 +165,16 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     A-family system and 1 <= k < n <= rank.
     """
     _check_range(rs, k, n)
-    left = [
-        reflection_of(rs, _interval_root(rs, k, n - 1)),
-        evaluate_word(rs, range(n, k - 1, -1)),
-    ]
-    right = [
-        evaluate_word(rs, range(n - 1, k, -1)),
-        reflection_of(rs, _interval_root(rs, k, n)),
-    ]
-    return _same_element(rs, left, right)
-
-
-def _image(factors, x: Root) -> Root:
-    """x under the product of the matrices, multiplied left to right (so the
-    last one acts first)."""
-    for m in reversed(factors):
-        x = apply_matrix(m, x)
-    return x
-
-
-def _same_element(rs: RootSystem, left, right) -> bool:
-    """Whether two products of elements of W, each a list of matrices
-    multiplied left to right, are equal, by their images of 2 rho.  Every
-    factor must be a product of reflections (see the module docstring)."""
-    two_rho = _two_rho(rs)
-    return _image(left, two_rho) == _image(right, two_rho)
+    left = [_interval_root(rs, k, n - 1), *map(rs.simple_root, range(n, k - 1, -1))]
+    right = [*map(rs.simple_root, range(n - 1, k, -1)), _interval_root(rs, k, n)]
+    return reflection_product(rs, left) == reflection_product(rs, right)
 
 
 def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
     """Dual-route check: closed-form conjugate vs literal conjugation
-    s_delta . s_tau . s_delta, compared by their images of 2 rho."""
-    s_delta = reflection_of(rs, delta)
-    s_tau = reflection_of(rs, tau)
+    s_delta . s_tau . s_delta, compared as exact matrices."""
     s_conj = reflection_of(rs, conjugated_root(rs, delta, tau))
-    return _same_element(rs, [s_delta, s_tau, s_delta], [s_conj])
+    return reflection_product(rs, [delta, tau, delta]) == s_conj
 
 
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
@@ -213,7 +190,7 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     coroots = _coroots(rs)
     two_rho = _two_rho(rs)
     moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
-    gram_row = {r: tuple(_dot(row, r) for row in rs.gram2) for r in roots}
+    gram_row = {r: _combination(rs.gram2, r) for r in roots}
     norm = {r: _dot(r, gram_row[r]) for r in roots}
     pairs = 0
     named = 0

@@ -339,6 +339,16 @@ def test_check_identities_matches_golden(type_name):
     assert invoke("check-identities", "--type", type_name, "--json") == (0, golden["json"], "")
 
 
+CLI_GOLDENS = json.loads((Path(__file__).parent / "fixtures" / "cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDENS))
+def test_every_verb_matches_golden(argv):
+    """Exit code, stdout and stderr of every verb, text and --json, on nine
+    types plus a usage and a library error, byte for byte."""
+    assert list(invoke(*argv.split())) == CLI_GOLDENS[argv]
+
+
 # Types for which every verb answers at once, and strings that are no type.
 _FUZZ_TYPES = ["A1", "A3", "A5", "B2", "B4", "C3", "C5", "D3", "D5", "F4", "G2"]
 _FUZZ_NON_TYPES = ["E5", "G3", "A0", "B1", "X3", "a3", "A65", "A100000", "", "A", "3", "A-1"]

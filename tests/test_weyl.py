@@ -223,6 +223,17 @@ def test_walks_check_the_matrix_dimension():
                 walk(a3, m)
 
 
+def test_apply_matrix_checks_every_row_length():
+    a3 = system("A3")
+    too_wide = tuple(row + (0,) for row in identity_matrix(3))
+    ragged = ((1, 0, 0), (0, 1), (0, 0, 1))
+    for m in [too_wide, ragged]:
+        with pytest.raises(DimensionMismatch):
+            apply_matrix(m, (1, 1, 1))
+        with pytest.raises(DimensionMismatch):
+            preserves_form(a3, m)
+
+
 def test_descents_characterize_length_drops():
     for t in ["A3", "B3"]:
         rs = system(t)

@@ -110,12 +110,17 @@ def exhaustive_diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[
     """Reference for ``rootsys._diagram_bijection``: the lexicographically
     smallest map p -> nodes[...] under which the Cartan integers of ``gram2``
     match those of ``outer``, as a tuple, or None.  Every free node is tried
-    for every position, in ascending order, against the dense Cartan rows
-    ``_coroot(gram2, a_i)``, so the first complete map is the smallest."""
+    for every position, in ascending order, against the dense Cartan rows,
+    expanded from the sparse ``_coroot(gram2, a_i)``, so the first complete
+    map is the smallest."""
 
-    def cartan_rows(g: Matrix) -> list[tuple[int, ...]]:
+    def cartan_rows(g: Matrix) -> list[list[int]]:
         n = len(g)
-        return [_coroot(g, tuple(int(j == i) for j in range(n))) for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j, c in _coroot(g, tuple(int(j == i) for j in range(n))):
+                rows[i][j] = c
+        return rows
 
     k = len(gram2)
     c_in = cartan_rows(gram2)
