@@ -36,10 +36,10 @@ from .rootsys import (
 )
 from .weyl import (
     Matrix,
+    _greedy_walk,
     apply_matrix,
     classify_longest,
     longest_element,
-    reduced_word_of,
     reflection_product,
 )
 
@@ -321,7 +321,7 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     theta, perp = next(_cascade(rs))
     J = max(perp, key=len)
     inner, index_map = parabolic_embedding(rs, J)
-    inner_word = reduced_word_of(inner, longest_element(inner))
+    inner_word = _greedy_walk(inner, [1] * inner.rank)
     embedded = [rs.simple_root(index_map[letter]) for letter in inner_word]
     tail = [theta] + [highest_root_of(rs, K) for K in perp if K != J]
     return reflection_product(rs, embedded + tail) == longest_element(rs)

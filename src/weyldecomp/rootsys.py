@@ -28,6 +28,8 @@ from .errors import (
 
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
+# A coroot kept sparse: the (j, c_j) pairs of its nonzero Cartan integers.
+SparseRow = tuple[tuple[int, int], ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
@@ -75,6 +77,7 @@ class RootSystem:
     """A constructed root system.
 
     ``gram2`` is the doubled Gram matrix of the simple roots,
+    ``simple_coroots`` their sparse coroots, the rows every walk reads,
     ``positive_roots`` lists every positive root ordered by height and then
     lexicographically by coefficient vector, and ``root_index`` maps each
     positive root to its position in that list.  Instances are immutable and
@@ -83,6 +86,7 @@ class RootSystem:
 
     type: RootSystemType
     gram2: Matrix
+    simple_coroots: tuple[SparseRow, ...] = field(repr=False)
     positive_roots: tuple[Root, ...] = field(repr=False)
     root_index: dict[Root, int] = field(repr=False)
 
@@ -156,9 +160,6 @@ def _gram2_for(t: RootSystemType) -> Matrix:
     return tuple(tuple(row) for row in g)
 
 
-# A coroot kept sparse: the (j, c_j) pairs of its nonzero Cartan integers.
-SparseRow = tuple[tuple[int, int], ...]
-
 
 def _combination(vectors, a: Root) -> Root:
     """The sum of a_k * vectors[k] over the support of a: M a from the
@@ -184,10 +185,9 @@ def _coroot(gram2: Matrix, a: Root) -> SparseRow:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
 def _simple_coroots(gram2: Matrix) -> tuple[SparseRow, ...]:
-    """The coroots of the simple roots, computed once per system.  Row i is
-    nonzero only at i and its Dynkin neighbours, at most four entries."""
+    """The coroots of the simple roots.  Row i is nonzero only at i and its
+    Dynkin neighbours, at most four entries."""
     return tuple(_coroot(gram2, a) for a in identity_matrix(len(gram2)))
 
 
@@ -224,14 +224,13 @@ def _ascents(coroots: tuple[SparseRow, ...], x: Root):
             yield x[:i] + (x[i] - k,) + x[i + 1 :]
 
 
-def _enumerate_positive_roots(gram2: Matrix, n: int) -> tuple[Root, ...]:
+def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...]:
     """Enumerate all positive roots as the closure of the simple roots under
     upward simple reflections: a non-simple positive root r has some
     <r, a_i-check> > 0, and s_i(r) is a lower positive root that moves up to
     r.  Ordering is by height, ties broken lexicographically.
     """
-    coroots = _simple_coroots(gram2)
-    new = identity_matrix(n)
+    new = identity_matrix(len(coroots))
     roots = set(new)
     while new:
         new = {y for x in new for y in _ascents(coroots, x)} - roots
@@ -246,9 +245,10 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     if t.rank > _MAX_RANK:
         raise TooLarge(f"{t} has rank {t.rank}, over the limit of {_MAX_RANK}")
     gram2 = _gram2_for(t)
-    positive = _enumerate_positive_roots(gram2, t.rank)
+    coroots = _simple_coroots(gram2)
+    positive = _enumerate_positive_roots(coroots)
     index = {r: i for i, r in enumerate(positive)}
-    return RootSystem(type=t, gram2=gram2, positive_roots=positive, root_index=index)
+    return RootSystem(t, gram2, coroots, positive, index)
 
 
 def system(text: str) -> RootSystem:
@@ -380,7 +380,7 @@ def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...])
     first complete map is still the smallest."""
     k = len(gram2)
     c_in = [{q + 1: c for q, c in row} for row in _simple_coroots(gram2)]
-    rows = _simple_coroots(outer.gram2)
+    rows = outer.simple_coroots
     c_out = {j: {i + 1: c for i, c in rows[j - 1] if i + 1 in nodes} for j in nodes}
     assignment: list[int] = []
     placed: set[int] = set()

@@ -6,7 +6,10 @@ doubled Gram matrix: ``M^T G M == G``.  Every product of reflections is one
 walk on a list of columns: s_a(a_j) = a_j - c_j a with c_j = <a_j, a-check>,
 so M.s_a rewrites only the columns j with c_j != 0, as col_j - c_j (M a).
 For a simple root a_i, M a_i is column i, and only column i and those of
-its Dynkin neighbours change.
+its Dynkin neighbours change; the RootSystem holds these rows as
+``simple_coroots``.  A column is a root, positive exactly when its height (its
+entry sum) is, so w0 and reduced words take their letters from one greedy walk
+on the column heights, which M.s_i changes by h_j -= c_j h_i.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .rootsys import (
     _combination,
     _coroot,
     _dot,
-    _simple_coroots,
     _sub_multiple,
     _two_rho,
     identity_matrix,
@@ -66,14 +68,13 @@ def _right_reflect(cols: list[Root], v: Root, row: SparseRow) -> None:
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
-    simple = _simple_coroots(rs.gram2)
     cols = list(identity_matrix(rs.rank))
     for r in roots:
         if not is_root(rs, r):
             raise NotARoot(f"{r} is not a root of {rs.type}")
         if sum(r) == 1:
             i = r.index(1)
-            _right_reflect(cols, cols[i], simple[i])
+            _right_reflect(cols, cols[i], rs.simple_coroots[i])
         else:
             _right_reflect(cols, _combination(cols, r), _coroot(rs.gram2, r))
     return tuple(zip(*cols))
@@ -86,7 +87,6 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first."""
-    simple = _simple_coroots(rs.gram2)
     cols = list(identity_matrix(rs.rank))
     for letter in word:
         try:
@@ -95,7 +95,7 @@ def evaluate_word(rs: RootSystem, word) -> Matrix:
             raise BadLetter(f"letter {letter!r} is not an integer") from None
         if not 1 <= i <= rs.rank:
             raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
-        _right_reflect(cols, cols[i - 1], simple[i - 1])
+        _right_reflect(cols, cols[i - 1], rs.simple_coroots[i - 1])
     return tuple(zip(*cols))
 
 
@@ -104,13 +104,20 @@ def simple_reflection(rs: RootSystem, i: int) -> Matrix:
     return evaluate_word(rs, [i])
 
 
-def _sends_positive(col: Root) -> bool:
-    """True iff a column, the image of a simple root, is a positive root: its
-    first nonzero entry is positive, which is how tuples compare with zero."""
-    zero = (0,) * len(col)
-    if col == zero:
-        raise ValueError("matrix is not a Weyl group element")
-    return col > zero
+def _greedy_walk(rs: RootSystem, heights: list[int]) -> list[int]:
+    """The letters of a greedy walk on column heights, updated in place:
+    while some height is positive, for at most as many steps as there are
+    positive roots, multiply on the right by s_i for the smallest such i."""
+    letters = []
+    for _ in range(len(rs.positive_roots)):
+        i = next((j for j, h in enumerate(heights) if h > 0), None)
+        if i is None:
+            break
+        hi = heights[i]
+        for j, c in rs.simple_coroots[i]:
+            heights[j] -= c * hi
+        letters.append(i + 1)
+    return letters
 
 
 def _check_shape(rs: RootSystem, m: Matrix) -> None:
@@ -135,8 +142,10 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
     _check_shape(rs, m)
-    columns = (tuple(row[i - 1] for row in m) for i in range(1, rs.rank + 1))
-    return [i for i, col in enumerate(columns, 1) if not _sends_positive(col)]
+    columns, zero = list(zip(*m)), (0,) * rs.rank
+    if zero in columns:
+        raise ValueError("matrix is not a Weyl group element")
+    return [i for i, col in enumerate(columns, 1) if col < zero]
 
 
 @lru_cache(maxsize=None)
@@ -145,16 +154,13 @@ def longest_element(rs: RootSystem) -> Matrix:
 
     Built greedily: while some simple root is still sent to a positive root,
     multiply on the right by the simple reflection of the smallest such index.
-    Each step increases the length by one, so the walk stops after exactly
-    ``len(rs.positive_roots)`` steps.
+    Each step increases the length by one, so the walk on column heights
+    stops after exactly ``len(rs.positive_roots)`` steps; w0 evaluates its word.
     """
-    simple = _simple_coroots(rs.gram2)
-    cols = list(identity_matrix(rs.rank))
-    for _ in range(len(rs.positive_roots)):
-        i = next(j for j, col in enumerate(cols) if _sends_positive(col))
-        _right_reflect(cols, cols[i], simple[i])
-    assert not any(_sends_positive(col) for col in cols)
-    return tuple(zip(*cols))
+    heights = [1] * rs.rank
+    word = _greedy_walk(rs, heights)
+    assert all(h < 0 for h in heights)
+    return evaluate_word(rs, word)
 
 
 @dataclass(frozen=True)
@@ -182,20 +188,14 @@ def classify_longest(rs: RootSystem) -> LongestClassification:
 
 
 def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
-    """A canonical reduced word for m: repeatedly strip the smallest descent."""
+    """A canonical reduced word for m: repeatedly strip the smallest descent,
+    read from m's negated column heights; a matrix outside W fails to evaluate
+    back to m."""
     _check_shape(rs, m)
-    simple = _simple_coroots(rs.gram2)
-    cols = list(zip(*m))
-    letters: list[int] = []
-    for _ in range(len(rs.positive_roots) + 1):
-        i = next((j for j, col in enumerate(cols) if not _sends_positive(col)), None)
-        if i is None:
-            break
-        _right_reflect(cols, cols[i], simple[i])
-        letters.append(i + 1)
-    if cols != list(identity_matrix(rs.rank)):
+    word = tuple(reversed(_greedy_walk(rs, [-sum(col) for col in zip(*m)])))
+    if evaluate_word(rs, word) != tuple(map(tuple, m)):
         raise ValueError("matrix is not a Weyl group element")
-    return tuple(reversed(letters))
+    return word
 
 
 def _group_order(rs: RootSystem) -> int:
@@ -229,13 +229,13 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     at once.
     """
     _check_shape(rs, m)
+    m = tuple(map(tuple, m))
     longest = m == longest_element(rs)
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
-    coroots = _simple_coroots(rs.gram2)
     two_rho = _two_rho(rs)
     length = len(reduced_word_of(rs, m))
     layer = Counter({apply_matrix(m, two_rho): 1})
@@ -244,7 +244,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
         previous = layer
         ways: Counter[Root] = Counter()
         for x, k in layer.items():
-            for y in _ascents(coroots, x):
+            for y in _ascents(rs.simple_coroots, x):
                 ways[y] += k
         layer = ways
         states += len(layer)

@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, JSON schema, output stability."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -347,6 +348,19 @@ def test_every_verb_matches_golden(argv):
     """Exit code, stdout and stderr of every verb, text and --json, on nine
     types plus a usage and a library error, byte for byte."""
     assert list(invoke(*argv.split())) == CLI_GOLDENS[argv]
+
+
+RANK64_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "rank64_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("argv", sorted(RANK64_DIGESTS))
+def test_rank_64_outputs_match_their_digests(argv):
+    """The sha256 of the JSON list [exit code, stdout, stderr] of runs near
+    the rank limit, whose outputs are too long to keep whole."""
+    result = json.dumps(list(invoke(*argv.split()))).encode()
+    assert hashlib.sha256(result).hexdigest() == RANK64_DIGESTS[argv]
 
 
 # Types for which every verb answers at once, and strings that are no type.

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyldecomp import (
     BadLetter,
@@ -41,6 +43,9 @@ from util import (
     degrees,
     full_sweep_reduced_word_count,
     generate_group,
+    reference_descents,
+    reference_longest_element,
+    reference_reduced_word,
     syt_count,
 )
 
@@ -455,3 +460,72 @@ def test_two_rho_does_not_separate_diagram_automorphisms():
     assert minus_identity != w0
     two_rho = _two_rho(a2)
     assert apply_matrix(minus_identity, two_rho) == apply_matrix(w0, two_rho) == (-2, -2)
+
+
+def test_count_reduced_words_takes_the_longest_element_as_lists():
+    # w0 given as lists of lists is still w0: refused at once above the
+    # bound, and counted by the half sweep below it.
+    e7 = system("E7")
+    with pytest.raises(TooLarge, match="needs 2903040 states"):
+        count_reduced_words(e7, [list(row) for row in longest_element(e7)])
+    a5 = system("A5")
+    assert count_reduced_words(a5, [list(row) for row in longest_element(a5)]) == 292864
+
+
+def test_walks_pick_the_reference_letters_on_every_element():
+    for t in ["A3", "B3", "C3", "D4", "G2"]:
+        rs = system(t)
+        for m in generate_group(rs):
+            assert reduced_word_of(rs, m) == reference_reduced_word(rs, m), (t, m)
+            assert descents(rs, m) == reference_descents(rs, m), (t, m)
+
+
+def test_longest_element_and_its_word_match_the_reference_walk():
+    for t in FULL_SWEEP + ["A16", "B12", "C13", "D12"]:
+        rs = system(t)
+        w0 = longest_element(rs)
+        assert w0 == reference_longest_element(rs), t
+        assert reduced_word_of(rs, w0) == reference_reduced_word(rs, w0), t
+
+
+@lru_cache(maxsize=None)
+def _group_of(t: str) -> dict:
+    return generate_group(system(t))
+
+
+@st.composite
+def small_matrices(draw):
+    """A type in {A3, B3} and a 3x3 matrix with entries in -2..2: drawn at
+    random, or a group element with at most one entry changed."""
+    t = draw(st.sampled_from(["A3", "B3"]))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        m = [list(row) for row in draw(st.sampled_from(sorted(_group_of(t))))]
+        if draw(st.booleans()):
+            m[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(entry)
+    else:
+        m = [[draw(entry) for _ in range(3)] for _ in range(3)]
+    return t, tuple(map(tuple, m))
+
+
+def _outcome(f, *args):
+    """What f returns, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_matrices())
+def test_random_matrices_are_judged_like_the_reference(drawn):
+    t, m = drawn
+    rs = system(t)
+    refused = ("ValueError", "matrix is not a Weyl group element")
+    expected = reference_reduced_word(rs, m) if m in _group_of(t) else refused
+    assert _outcome(reduced_word_of, rs, m) == expected
+    assert _outcome(length_of, rs, m) == (refused if expected == refused else len(expected))
+    assert _outcome(descents, rs, m) == _outcome(reference_descents, rs, m)
+    as_lists = [list(row) for row in m]
+    for f in (descents, length_of, reduced_word_of, count_reduced_words):
+        assert _outcome(f, rs, as_lists) == _outcome(f, rs, m), f.__name__

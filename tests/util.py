@@ -148,6 +148,57 @@ def exhaustive_diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[
     return extend(1)
 
 
+def sends_positive(col) -> bool:
+    """Reference sign of a column, the image of a simple root: its first
+    nonzero entry, which is how tuples compare with zero.  A zero column is
+    the image of no root."""
+    zero = (0,) * len(col)
+    if col == zero:
+        raise ValueError("matrix is not a Weyl group element")
+    return col > zero
+
+
+def reference_descents(rs: RootSystem, m) -> list[int]:
+    """Reference for ``descents``: the columns that ``sends_positive`` calls
+    negative, read one column at a time."""
+    columns = (tuple(row[i - 1] for row in m) for i in range(1, rs.rank + 1))
+    return [i for i, col in enumerate(columns, 1) if not sends_positive(col)]
+
+
+def reference_longest_element(rs: RootSystem) -> Matrix:
+    """Reference for ``longest_element``: rescan every column at every step,
+    and multiply on the right by the dense simple reflection of the smallest
+    index that is still sent positive, as many times as there are positive
+    roots."""
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    m = identity_matrix(rs.rank)
+    for _ in range(len(rs.positive_roots)):
+        i = next(j for j, col in enumerate(zip(*m)) if sends_positive(col))
+        m = compose(m, gens[i])
+    if any(sends_positive(col) for col in zip(*m)):
+        raise AssertionError("the greedy walk left a simple root positive")
+    return m
+
+
+def reference_reduced_word(rs: RootSystem, m) -> tuple[int, ...]:
+    """Reference for ``reduced_word_of``: strip the smallest descent, read by
+    ``sends_positive`` from a rescan of every column, with a dense product,
+    at most one more time than there are positive roots; a matrix that is
+    not stripped to the identity is outside W."""
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    m = tuple(map(tuple, m))
+    letters = []
+    for _ in range(len(rs.positive_roots) + 1):
+        i = next((j for j, col in enumerate(zip(*m)) if not sends_positive(col)), None)
+        if i is None:
+            break
+        m = compose(m, gens[i])
+        letters.append(i + 1)
+    if m != identity_matrix(rs.rank):
+        raise ValueError("matrix is not a Weyl group element")
+    return tuple(reversed(letters))
+
+
 def generate_group(rs: RootSystem) -> dict[Matrix, int]:
     """BFS over right multiplication: every element mapped to its word length."""
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
