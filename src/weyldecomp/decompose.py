@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .errors import NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
     Root,
     RootSystem,
     _components,
-    _coroots,
+    _coroot,
     _dot,
     _highest_by_support,
-    _pair,
     dominance_leq,
     highest_root_of,
     is_root,
@@ -42,12 +43,6 @@ from .weyl import (
     longest_element,
     reflection_product,
 )
-
-# Most nodes enumerate_max_orthogonal visits before it raises TooLarge.  The
-# search stays exponential in the families B, C and D (D18 visits about 0.6 M
-# nodes, D20 about 3 M), so a lifted size guard needs a limit of its own.
-_MAX_SEARCH_NODES = 10**6
-
 
 @dataclass(frozen=True)
 class DecompositionFactor:
@@ -199,27 +194,43 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     )
 
 
-def _candidate_pool(rs: RootSystem) -> list[Root]:
-    """Highest roots of all connected standard parabolics, by height."""
-    return sorted(_highest_by_support(rs).values(), key=lambda r: (sum(r), r))
+def _largest_compatible_sets(rs: RootSystem, pool, region: int) -> list[tuple[Root, ...]]:
+    """The largest compatible sets of the (root, support) pairs in ``pool``
+    inside ``region``, a bitmask with bit i - 1 for node i, by the split of
+    enumerate_max_orthogonal.  A root's coroot is nonzero exactly on the
+    nodes of its support it is not orthogonal to and on the support's
+    neighbours."""
+    starting: list[list] = [[] for _ in range(rs.rank)]
+    for root, S in pool:
+        mask = sum(1 << (i - 1) for i in S)
+        linked = sum(1 << j for j, _ in _coroot(rs.gram2, root))
+        starting[S[0] - 1].append((root, mask, mask | linked, mask & ~linked))
 
+    @lru_cache(maxsize=None)
+    def best(region: int, chains: bool):
+        """(size, choices): the choices at the lowest node that reach the
+        largest size, each as the roots taken and the sub-regions left."""
+        if not region:
+            return 0, [((), ())]
+        low = region & -region
+        options = [((), ((region ^ low, chains),))]
+        for root, mask, around, z in starting[low.bit_length() - 1]:
+            if mask == low:
+                options.append(((root,), ((region & ~around, chains),)))
+            elif chains and region & mask == mask:
+                options.append(((root,), ((z, True), (region & ~around, False))))
+        sizes = [len(roots) + sum(best(*sub)[0] for sub in subs) for roots, subs in options]
+        size = max(sizes)
+        return size, [option for option, n in zip(options, sizes) if n == size]
 
-def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
-    """Bit j of entry i is set when pool roots i < j may share a decomposition:
-    orthogonal, and comparable under dominance unless one is simple.  For
-    highest roots of connected supports, comparable means nested supports."""
-    coroots = _coroots(rs)
-    supports = [sum(1 << k for k, c in enumerate(r) if c) for r in pool]
+    def expand(region: int, chains: bool) -> list[tuple[Root, ...]]:
+        return [
+            roots + sum(rests, ())
+            for roots, subs in best(region, chains)[1]
+            for rests in product(*(expand(*sub) for sub in subs))
+        ]
 
-    def compatible(i: int, j: int) -> bool:
-        si, sj = supports[i], supports[j]
-        loose = (si & sj) in (si, sj) or si.bit_count() == 1 or sj.bit_count() == 1
-        return loose and _pair(pool[j], coroots[pool[i]]) == 0
-
-    return [
-        sum(1 << j for j in range(i + 1, len(pool)) if compatible(i, j))
-        for i in range(len(pool))
-    ]
+    return expand(region, True)
 
 
 def _minus_one_dimension(rs: RootSystem) -> int:
@@ -234,27 +245,36 @@ def enumerate_max_orthogonal(
 ) -> list[Decomposition]:
     """Exhaustively enumerate decompositions satisfying the structural checks.
 
-    Searches all sets of pool roots (highest roots of connected standard
-    parabolics) that are pairwise orthogonal, whose non-simple members form a
-    dominance chain, and whose reflections multiply to the longest element.
-    Reflections in pairwise orthogonal roots commute, and their product is -1
-    on the span of the roots and +1 on its orthogonal complement; w0 is an
-    orthogonal involution.  So a set of compatible roots multiplies to w0
-    exactly when every root r has w0(r) = -r and there are d = dim E_-1(w0)
-    of them, d being the number of orbits of the diagram involution sigma
-    with w0 = -sigma.  The search therefore keeps only the pool roots that
-    w0 negates, gives each an int bitmask of the later pool roots compatible
-    with it, and walks cliques by intersecting masks, lowest bit first.  A
-    branch is cut when its chosen roots plus its remaining candidates number
-    fewer than d, and a set of d roots is a leaf.  At each leaf the literal
-    product of the reflections is compared with w0 as a second route, and a
-    mismatch raises RuntimeError.  Each qualifying set is reported once,
-    factors ordered simples-first then by ascending height, and the result
-    list is itself sorted by those factor sequences.
+    Finds all sets of pool roots (highest roots of connected standard
+    parabolics) that are compatible, that is pairwise orthogonal with the
+    non-simple members (the chain) on nested supports, and whose reflections
+    multiply to the longest element.  Reflections in pairwise orthogonal
+    roots commute, and their product is -1 on the span of the roots and +1
+    on its orthogonal complement; w0 is an orthogonal involution.  So a
+    compatible set multiplies to w0 exactly when w0 negates each root and
+    there are d = dim E_-1(w0) of them, d being the number of orbits of the
+    diagram involution sigma with w0 = -sigma.  The pool keeps the roots w0
+    negates; compatible ones are independent in E_-1(w0), so no compatible
+    set is larger than d, and the sets sought are the largest ones when
+    those have d roots.
+
+    They are found on regions of the diagram.  A set uses the lowest node v
+    of a region in exactly one of three ways.  v is unused: recurse without
+    v.  v is a simple factor: recurse without v and its neighbours.  v is
+    the lowest node of the top chain support S, while no chain root is
+    chosen in the region: theta_S counts 1, the chain goes on inside
+    Z(S) = {j in S : (a_j, theta_S) = 0}, and the region outside S and its
+    neighbours takes simple factors only, orthogonal to everything inside S.
+    Each part of a largest set is largest in its own sub-region, or a swap
+    would give a larger set; so a memo of the best choices per region and
+    chain state, walked back, yields every largest set once (Kostant's
+    cascade is its greedy path).  The literal product of each reported set
+    is compared with w0 as a second route, and a mismatch raises
+    RuntimeError.  Factors are ordered simples-first then by ascending
+    height, and the result list is sorted by those factor sequences.
 
     Refuses systems that are large in both rank and root count: allowed when
-    rank <= rank_bound or the positive root count is <= size_bound.  A search
-    that visits more than ``_MAX_SEARCH_NODES`` nodes raises TooLarge.
+    rank <= rank_bound or the positive root count is <= size_bound.
     """
     npos = len(rs.positive_roots)
     if rs.rank > rank_bound and npos > size_bound:
@@ -264,39 +284,15 @@ def enumerate_max_orthogonal(
         )
     w0 = longest_element(rs)
     d = _minus_one_dimension(rs)
-    pool = [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
-    masks = _compatibility_masks(rs, pool)
-    results: list[tuple[Root, ...]] = []
-    nodes = 0
-
-    def extend(cands: int, chosen: tuple[Root, ...]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > _MAX_SEARCH_NODES:
-            raise TooLarge(
-                f"the search on {rs.type} visited {nodes} nodes, "
-                f"over the limit of {_MAX_SEARCH_NODES}"
-            )
-        if len(chosen) == d:
-            if reflection_product(rs, chosen) != w0:
-                raise RuntimeError(
-                    f"{rs.type}: the reflections in {chosen} do not multiply to w0"
-                )
-            results.append(chosen)
-            return
-        while len(chosen) + cands.bit_count() >= d:
-            low = cands & -cands
-            cands ^= low
-            i = low.bit_length() - 1
-            extend(cands & masks[i], chosen + (pool[i],))
-
-    extend((1 << len(pool)) - 1, ())
-    decs = []
-    for roots in sorted(
-        sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r)) for roots in results
-    ):
-        decs.append(decomposition_from_roots(rs, roots))
-    return decs
+    highest = _highest_by_support(rs).items()
+    pool = [(r, S) for S, r in highest if apply_matrix(w0, r) == negate(r)]
+    largest = _largest_compatible_sets(rs, pool, (1 << rs.rank) - 1)
+    results = [roots for roots in largest if len(roots) == d]
+    for roots in results:
+        if reflection_product(rs, roots) != w0:
+            raise RuntimeError(f"{rs.type}: the reflections in {roots} do not multiply to w0")
+    ordered = sorted(sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r)) for roots in results)
+    return [decomposition_from_roots(rs, roots) for roots in ordered]
 
 
 # Types outside the cross-rank recursion, by contract.  This is not derived

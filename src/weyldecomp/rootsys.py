@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import (
     DimensionMismatch,
@@ -334,10 +334,13 @@ def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
 
 
 def _connected_index_set(rs: RootSystem, J) -> tuple[int, ...]:
-    indices = tuple(sorted(set(J)))
+    try:
+        indices = tuple(sorted({index(i) for i in J}))
+    except TypeError:
+        raise DisconnectedSubset(f"index set {J!r} is not a set of integers") from None
     if not indices or any(not 1 <= i <= rs.rank for i in indices):
         raise DisconnectedSubset(
-            f"index set {sorted(set(J))} is not a non-empty subset of 1..{rs.rank}"
+            f"index set {list(indices)} is not a non-empty subset of 1..{rs.rank}"
         )
     if not is_connected(rs, indices):
         raise DisconnectedSubset(f"index set {list(indices)} is disconnected in {rs.type}")

@@ -26,14 +26,16 @@ from weyldecomp import (
     verify_decomposition,
 )
 
-from weyldecomp.decompose import (
-    _candidate_pool,
-    _compatibility_masks,
-    _minus_one_dimension,
-)
-from weyldecomp.rootsys import dominance_leq
+from weyldecomp.decompose import _largest_compatible_sets, _minus_one_dimension
+from weyldecomp.rootsys import _highest_by_support
 
-from util import FULL_SWEEP
+from util import FULL_SWEEP, brute_force_largest_compatible_sets, reference_max_orthogonal
+
+# Every third A rank up to A30 (all 22 take about twice as long) and B, C,
+# D 9-12, searched with their guards lifted.
+BEYOND_THE_FULL_SWEEP = [f"A{n}" for n in range(9, 31, 3)] + [
+    f"{fam}{n}" for fam in "BCD" for n in range(9, 13)
+]
 
 
 def b_chain_vector(n: int, m: int) -> tuple[int, ...]:
@@ -258,12 +260,7 @@ def test_uniqueness_exhaustive_on_the_full_sweep():
 
 
 def test_uniqueness_exhaustive_beyond_the_full_sweep():
-    # Every third A rank up to A30 (all 22 take about twice as long) and
-    # B, C, D 9-12, each with its guards lifted.
-    types = [f"A{n}" for n in range(9, 31, 3)] + [
-        f"{fam}{n}" for fam in "BCD" for n in range(9, 13)
-    ]
-    for t in types:
+    for t in BEYOND_THE_FULL_SWEEP:
         rs = system(t)
         decs = enumerate_max_orthogonal(
             rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots)
@@ -271,6 +268,42 @@ def test_uniqueness_exhaustive_beyond_the_full_sweep():
         assert len(decs) == 1, (t, len(decs))
         assert set(decs[0].roots) == set(canonical_decomposition(rs).roots), t
         assert verify_decomposition(rs, decs[0]).all_ok(), t
+
+
+def test_search_returns_the_clique_walks_factor_sequences():
+    # The cascade is one of the search's paths, so comparing with it alone
+    # would pass a search that returned only the cascade.  The reference is
+    # the bitmask clique walk: the same factor sequences in the same order.
+    types = FULL_SWEEP + BEYOND_THE_FULL_SWEEP + [
+        f"{fam}{n}" for fam in "BCD" for n in range(13, 17)
+    ]
+    for t in types:
+        rs = system(t)
+        decs = enumerate_max_orthogonal(
+            rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots)
+        )
+        assert [dec.roots for dec in decs] == reference_max_orthogonal(rs), t
+
+
+def test_largest_compatible_sets_of_the_unfiltered_pool():
+    # Without the w0(r) = -r filter several largest sets exist, so the walk
+    # back goes through more than one choice.  The reference grows every
+    # compatible set straight from the definition.
+    types = [f"A{n}" for n in range(1, 7)] + [
+        "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "D5", "D6", "E6", "F4", "G2"
+    ]
+    counts = {}
+    for t in types:
+        rs = system(t)
+        pool = [(r, S) for S, r in _highest_by_support(rs).items()]
+        found = _largest_compatible_sets(rs, pool, (1 << rs.rank) - 1)
+        sets = {frozenset(roots) for roots in found}
+        assert len(sets) == len(found), t
+        assert sets == brute_force_largest_compatible_sets(rs, [r for r, _ in pool]), t
+        counts[t] = len(found)
+    assert {t: counts[t] for t in ("A4", "A6", "D5", "E6")} == {
+        "A4": 10, "A6": 33, "D5": 3, "E6": 10
+    }
 
 
 def test_search_depth_is_the_canonical_factor_count():
@@ -289,13 +322,6 @@ def test_search_checks_each_leaf_by_the_literal_product(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="do not multiply to w0"):
         enumerate_max_orthogonal(system("B3"))
-
-
-def test_search_node_budget(monkeypatch):
-    monkeypatch.setattr(decompose, "_MAX_SEARCH_NODES", 10)
-    with pytest.raises(TooLarge, match="visited 11 nodes"):
-        enumerate_max_orthogonal(system("E8"), size_bound=120)
-    assert len(enumerate_max_orthogonal(system("A2"))) == 1
 
 
 def test_enumeration_guard():
@@ -452,18 +478,3 @@ def test_highest_factors_agree_with_parabolic_search():
         for f in canonical_decomposition(rs).factors:
             if f.kind == "highest":
                 assert highest_root_of(rs, f.span) == f.root
-
-
-def test_compatibility_masks_follow_the_definition():
-    # orthogonal, and comparable under dominance unless one root is simple
-    for t in FULL_SWEEP:
-        rs = system(t)
-        pool = _candidate_pool(rs)
-        masks = _compatibility_masks(rs, pool)
-        for i, x in enumerate(pool):
-            for j in range(i + 1, len(pool)):
-                y = pool[j]
-                expected = pairing2(rs, x, y) == 0 and (
-                    sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
-                )
-                assert bool(masks[i] >> j & 1) == expected, (t, x, y)

@@ -274,6 +274,20 @@ def test_parabolic_embedding_rejects_disconnected():
         parabolic_embedding(system("A4"), (1, 3))
 
 
+def test_index_sets_of_non_integers_are_refused():
+    # A string or float entries are no index set: a library error, not a
+    # TypeError from comparing or indexing with them.
+    a3 = system("A3")
+    for J in ("12", [1.0, 2.0], [1, "2"], [None], 3):
+        with pytest.raises(DisconnectedSubset):
+            highest_root_of(a3, J)
+        with pytest.raises(UnrecognizedDiagram):
+            parabolic_embedding(a3, J)
+    # integer-like entries keep their meaning
+    assert highest_root_of(a3, [True, 2]) == (1, 1, 0)
+    assert parabolic_embedding(a3, {3, 2})[1] == {1: 2, 2: 3}
+
+
 def test_dominance():
     assert dominance_leq((0, 1, 0), (1, 1, 1))
     assert not dominance_leq((1, 1, 1), (0, 1, 0))

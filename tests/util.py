@@ -7,16 +7,32 @@ from math import factorial, prod
 
 from weyldecomp import (
     Matrix,
+    Root,
     RootSystem,
+    TooLarge,
     apply_matrix,
     compose,
+    dominance_leq,
     evaluate_word,
     identity_matrix,
     length_of,
+    longest_element,
+    pairing2,
     simple_reflection,
     system,
 )
-from weyldecomp.rootsys import _ascents, _coroot, _simple_coroots, _two_rho
+from weyldecomp.decompose import _minus_one_dimension
+from weyldecomp.rootsys import (
+    _ascents,
+    _coroot,
+    _coroots,
+    _highest_by_support,
+    _pair,
+    _simple_coroots,
+    _two_rho,
+    negate,
+)
+from weyldecomp.weyl import reflection_product
 
 # The full sweep of admissible types exercised by the acceptance criteria.
 FULL_SWEEP = (
@@ -220,3 +236,98 @@ def generate_group(rs: RootSystem) -> dict[Matrix, int]:
 
 def build(t: str) -> RootSystem:
     return system(t)
+
+
+# Most nodes reference_max_orthogonal visits before it raises TooLarge.  The
+# clique walk is exponential in the families B, C and D (D18 visits about
+# 0.6 M nodes, D20 about 3 M).
+_MAX_SEARCH_NODES = 10**6
+
+
+def _candidate_pool(rs: RootSystem) -> list[Root]:
+    """Highest roots of all connected standard parabolics, by height."""
+    return sorted(_highest_by_support(rs).values(), key=lambda r: (sum(r), r))
+
+
+def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
+    """Bit j of entry i is set when pool roots i < j may share a decomposition:
+    orthogonal, and comparable under dominance unless one is simple.  For
+    highest roots of connected supports, comparable means nested supports."""
+    coroots = _coroots(rs)
+    supports = [sum(1 << k for k, c in enumerate(r) if c) for r in pool]
+
+    def compatible(i: int, j: int) -> bool:
+        si, sj = supports[i], supports[j]
+        loose = (si & sj) in (si, sj) or si.bit_count() == 1 or sj.bit_count() == 1
+        return loose and _pair(pool[j], coroots[pool[i]]) == 0
+
+    return [
+        sum(1 << j for j in range(i + 1, len(pool)) if compatible(i, j))
+        for i in range(len(pool))
+    ]
+
+
+def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
+    """Reference for ``enumerate_max_orthogonal``: its factor sequences, in
+    its order, found by a bitmask clique walk.  The pool keeps the highest
+    roots of connected parabolics that w0 negates; the walk intersects
+    compatibility masks, lowest bit first, cuts a branch whose chosen roots
+    plus remaining candidates number fewer than d = dim E_-1(w0), and
+    checks each clique of d roots by the literal product.  A walk that
+    visits more than ``_MAX_SEARCH_NODES`` nodes raises TooLarge."""
+    w0 = longest_element(rs)
+    d = _minus_one_dimension(rs)
+    pool = [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
+    masks = _compatibility_masks(rs, pool)
+    results: list[tuple[Root, ...]] = []
+    nodes = 0
+
+    def extend(cands: int, chosen: tuple[Root, ...]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_SEARCH_NODES:
+            raise TooLarge(
+                f"the search on {rs.type} visited {nodes} nodes, "
+                f"over the limit of {_MAX_SEARCH_NODES}"
+            )
+        if len(chosen) == d:
+            if reflection_product(rs, chosen) != w0:
+                raise RuntimeError(
+                    f"{rs.type}: the reflections in {chosen} do not multiply to w0"
+                )
+            results.append(chosen)
+            return
+        while len(chosen) + cands.bit_count() >= d:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            extend(cands & masks[i], chosen + (pool[i],))
+
+    extend((1 << len(pool)) - 1, ())
+    return sorted(
+        tuple(sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r))) for roots in results
+    )
+
+
+def brute_force_largest_compatible_sets(rs: RootSystem, roots) -> set[frozenset[Root]]:
+    """The largest sets of the given roots that are compatible by the
+    definition: pairwise orthogonal (``pairing2 == 0``), and comparable under
+    ``dominance_leq`` one way or the other unless one of the two is simple.
+    Every compatible set is grown once, in list order."""
+    roots = list(roots)
+
+    def compatible(x: Root, y: Root) -> bool:
+        comparable = sum(x) == 1 or sum(y) == 1 or dominance_leq(x, y) or dominance_leq(y, x)
+        return comparable and pairing2(rs, x, y) == 0
+
+    found: list[tuple[Root, ...]] = []
+
+    def grow(chosen: tuple[Root, ...], start: int) -> None:
+        found.append(chosen)
+        for j in range(start, len(roots)):
+            if all(compatible(x, roots[j]) for x in chosen):
+                grow(chosen + (roots[j],), j + 1)
+
+    grow((), 0)
+    top = max(map(len, found))
+    return {frozenset(c) for c in found if len(c) == top}
