@@ -15,7 +15,6 @@ each canonical decomposition from a smaller system's.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -23,6 +22,7 @@ from .errors import NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
     Root,
     RootSystem,
+    _Record,
     _components,
     _coroot,
     _dot,
@@ -30,7 +30,6 @@ from .rootsys import (
     dominance_leq,
     highest_root_of,
     is_root,
-    negate,
     pairing2,
     parabolic_embedding,
     support,
@@ -38,20 +37,19 @@ from .rootsys import (
 from .weyl import (
     Matrix,
     _greedy_walk,
-    apply_matrix,
     classify_longest,
     longest_element,
     reflection_product,
 )
 
-@dataclass(frozen=True)
-class DecompositionFactor:
+class DecompositionFactor(_Record):
     """One reflection factor: its (positive) root and what the root is.
 
     ``kind`` is "simple" for a simple root and "highest" for the highest root
     of the connected standard parabolic on ``span`` (the root's support).
     """
 
+    __slots__ = ("root", "kind")
     root: Root
     kind: str  # "simple" or "highest"
 
@@ -60,10 +58,10 @@ class DecompositionFactor:
         return support(self.root)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """An ordered tuple of mutually orthogonal reflection factors."""
 
+    __slots__ = ("system", "factors")
     system: RootSystem
     factors: tuple[DecompositionFactor, ...]
 
@@ -77,7 +75,7 @@ class Decomposition:
 
 def _factor_for(root: Root) -> DecompositionFactor:
     kind = "simple" if sum(root) == 1 else "highest"
-    return DecompositionFactor(root=root, kind=kind)
+    return DecompositionFactor(root, kind)
 
 
 def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
@@ -134,10 +132,10 @@ def canonical_decomposition(rs: RootSystem) -> Decomposition:
     return Decomposition(system=rs, factors=tuple(_factor_for(r) for r in simples + chain))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of the five independent decomposition checks."""
 
+    __slots__ = ("orthogonal", "highest_root_ok", "chain_ok", "product_is_w0", "count_ok")
     orthogonal: bool
     highest_root_ok: bool
     chain_ok: bool
@@ -145,7 +143,7 @@ class VerificationReport:
     count_ok: bool
 
     def all_ok(self) -> bool:
-        return all(vars(self).values())
+        return all(self._values())
 
 
 def _pairwise_orthogonal(rs: RootSystem, roots) -> bool:
@@ -233,6 +231,19 @@ def _largest_compatible_sets(rs: RootSystem, pool, region: int) -> list[tuple[Ro
     return expand(region, True)
 
 
+def _negated_pool(rs: RootSystem) -> list[tuple[Root, tuple[int, ...]]]:
+    """The (root, support) pairs of the highest roots of connected standard
+    parabolics that w0 negates.  w0 = -sigma for the diagram involution
+    sigma, so w0 negates r exactly when r is constant on the sigma-orbits:
+    r[sigma(i)] == r[i] for every i, an O(n) test in place of a product."""
+    sigma = classify_longest(rs).automorphism
+    return [
+        (r, S)
+        for S, r in _highest_by_support(rs).items()
+        if all(r[s - 1] == c for c, s in zip(r, sigma))
+    ]
+
+
 def _minus_one_dimension(rs: RootSystem) -> int:
     """dim E_-1(w0): w0 = -sigma for the diagram involution sigma, so its -1
     eigenspace is the fixed space of sigma, one dimension per sigma-orbit."""
@@ -284,9 +295,7 @@ def enumerate_max_orthogonal(
         )
     w0 = longest_element(rs)
     d = _minus_one_dimension(rs)
-    highest = _highest_by_support(rs).items()
-    pool = [(r, S) for S, r in highest if apply_matrix(w0, r) == negate(r)]
-    largest = _largest_compatible_sets(rs, pool, (1 << rs.rank) - 1)
+    largest = _largest_compatible_sets(rs, _negated_pool(rs), (1 << rs.rank) - 1)
     results = [roots for roots in largest if len(roots) == d]
     for roots in results:
         if reflection_product(rs, roots) != w0:
@@ -323,12 +332,12 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     return reflection_product(rs, embedded + tail) == longest_element(rs)
 
 
-@dataclass(frozen=True)
-class ParabolicTower:
+class ParabolicTower(_Record):
     """The ascending chain of connected standard parabolics underlying the
     canonical decomposition, as 1-based index sets ending at the full set
     when the full diagram appears as a factor support."""
 
+    __slots__ = ("system", "supports")
     system: RootSystem
     supports: tuple[tuple[int, ...], ...]
 

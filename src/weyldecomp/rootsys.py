@@ -12,7 +12,6 @@ squared-length-1, 8 for squared-length-4, and 6 for squared-length-3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, index, mul, sub
@@ -38,18 +37,63 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _MAX_RANK = 64
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class _Record:
+    """A frozen record whose fields are the subclass's ``__slots__``, given by
+    position or keyword.  It compares and hashes by value within its class,
+    and its repr leaves out the fields in ``_hidden``.  Not a dataclass: the
+    ``dataclasses`` module imports ``inspect``, most of the package's import
+    time."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as __setattr__ refuses
+        return type(self), self._values()
+
+
+class RootSystemType(_Record):
     """An admissible system type: family in A..G plus rank.
 
     Admissible pairs: A n>=1, B n>=2, C n>=2, D n>=3, E n in {6,7,8},
     F n=4, G n=2.
     """
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         fam, n = self.family, self.rank
         admissible = (
             (fam in _MIN_RANK and n >= _MIN_RANK[fam])
@@ -72,8 +116,7 @@ def parse_type(text: str) -> RootSystemType:
     return RootSystemType(fam, int(digits))
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Record):
     """A constructed root system.
 
     ``gram2`` is the doubled Gram matrix of the simple roots,
@@ -81,14 +124,20 @@ class RootSystem:
     ``positive_roots`` lists every positive root ordered by height and then
     lexicographically by coefficient vector, and ``root_index`` maps each
     positive root to its position in that list.  Instances are immutable and
-    shared: :func:`build_root_system` caches them per type.
+    shared: :func:`build_root_system` caches them per type, and they compare
+    and hash by identity.
     """
 
+    __slots__ = ("type", "gram2", "simple_coroots", "positive_roots", "root_index")
+    _hidden = ("simple_coroots", "positive_roots", "root_index")
     type: RootSystemType
     gram2: Matrix
-    simple_coroots: tuple[SparseRow, ...] = field(repr=False)
-    positive_roots: tuple[Root, ...] = field(repr=False)
-    root_index: dict[Root, int] = field(repr=False)
+    simple_coroots: tuple[SparseRow, ...]
+    positive_roots: tuple[Root, ...]
+    root_index: dict[Root, int]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def rank(self) -> int:

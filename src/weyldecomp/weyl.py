@@ -14,7 +14,6 @@ on the column heights, which M.s_i changes by h_j -= c_j h_i.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 
@@ -24,6 +23,7 @@ from .rootsys import (
     Root,
     RootSystem,
     SparseRow,
+    _Record,
     _ascents,
     _combination,
     _coroot,
@@ -163,11 +163,11 @@ def longest_element(rs: RootSystem) -> Matrix:
     return evaluate_word(rs, word)
 
 
-@dataclass(frozen=True)
-class LongestClassification:
+class LongestClassification(_Record):
     """How the longest element acts: minus the identity, or minus a diagram
     automorphism given as a 1-based permutation of simple-root indices."""
 
+    __slots__ = ("kind", "automorphism")
     kind: str  # "minus_identity" or "minus_automorphism"
     automorphism: tuple[int, ...]
 

@@ -17,7 +17,6 @@ in the sweep both sides are products of reflections, so it is exact there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional
@@ -25,6 +24,7 @@ from .rootsys import (
     Root,
     RootSystem,
     SparseRow,
+    _Record,
     _combination,
     _coroots,
     _dot,
@@ -62,8 +62,7 @@ def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     return positive_representative(rs, _reflect(tau, delta, _coroots(rs)[delta]))
 
 
-@dataclass(frozen=True)
-class ConjugationCase:
+class ConjugationCase(_Record):
     """A named conjugation pattern.
 
     ``rule`` records the squared-length pattern of (conjugator, target):
@@ -73,6 +72,7 @@ class ConjugationCase:
     (the difference b - k*a).  ``coefficient`` is that k.
     """
 
+    __slots__ = ("rule", "sign", "coefficient")
     rule: str
     sign: str
     coefficient: int

@@ -4,6 +4,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weyldecomp
 from weyldecomp.cli import _VERBS, run
 from weyldecomp.decompose import (
     canonical_decomposition,
@@ -277,6 +281,24 @@ def test_help_is_returned_as_stdout():
     code, out, err = invoke("info", "-h")
     assert code == 0 and err == ""
     assert out.startswith("usage: weyldecomp info")
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print():
+    """run keeps one parser for the process; a call after a usage error, a
+    help request or a verb prints what the same call prints on its own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(weyldecomp.__file__).parents[1])}
+    calls = [
+        ["verify", "--type", "A3", "--nope"],
+        ["info", "-h"],
+        ["decompose", "--type", "D5", "--json"],
+        ["verify", "--type", "A3", "--nope"],
+        ["verify"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "weyldecomp", *argv], capture_output=True, text=True, env=env
+        )
+        assert run(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_inadmissible_type_is_usage_error():

@@ -22,14 +22,20 @@ from weyldecomp import (
     parabolic_tower,
     recursion_relation_check,
     reflection_of,
+    support,
     system,
     verify_decomposition,
 )
 
-from weyldecomp.decompose import _largest_compatible_sets, _minus_one_dimension
+from weyldecomp.decompose import _largest_compatible_sets, _minus_one_dimension, _negated_pool
 from weyldecomp.rootsys import _highest_by_support
 
-from util import FULL_SWEEP, brute_force_largest_compatible_sets, reference_max_orthogonal
+from util import (
+    FULL_SWEEP,
+    brute_force_largest_compatible_sets,
+    dense_negated_pool,
+    reference_max_orthogonal,
+)
 
 # Every third A rank up to A30 (all 22 take about twice as long) and B, C,
 # D 9-12, searched with their guards lifted.
@@ -304,6 +310,14 @@ def test_largest_compatible_sets_of_the_unfiltered_pool():
     assert {t: counts[t] for t in ("A4", "A6", "D5", "E6")} == {
         "A4": 10, "A6": 33, "D5": 3, "E6": 10
     }
+
+
+@pytest.mark.parametrize("t", FULL_SWEEP + ["A64", "B64", "C64", "D64"])
+def test_the_sigma_fixed_pool_is_the_pool_w0_negates(t):
+    rs = system(t)
+    pool = _negated_pool(rs)
+    assert all(S == support(r) for r, S in pool), t
+    assert {r for r, _ in pool} == set(dense_negated_pool(rs)), t
 
 
 def test_search_depth_is_the_canonical_factor_count():

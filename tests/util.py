@@ -267,6 +267,13 @@ def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
     ]
 
 
+def dense_negated_pool(rs: RootSystem) -> list[Root]:
+    """Reference for ``decompose._negated_pool``: the pool roots w0 negates,
+    by height, tested by the literal product w0 r == -r."""
+    w0 = longest_element(rs)
+    return [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
+
+
 def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
     """Reference for ``enumerate_max_orthogonal``: its factor sequences, in
     its order, found by a bitmask clique walk.  The pool keeps the highest
@@ -277,7 +284,7 @@ def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
     visits more than ``_MAX_SEARCH_NODES`` nodes raises TooLarge."""
     w0 = longest_element(rs)
     d = _minus_one_dimension(rs)
-    pool = [r for r in _candidate_pool(rs) if apply_matrix(w0, r) == negate(r)]
+    pool = dense_negated_pool(rs)
     masks = _compatibility_masks(rs, pool)
     results: list[tuple[Root, ...]] = []
     nodes = 0
