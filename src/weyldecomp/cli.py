@@ -21,7 +21,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .errors import WeylError
-from .rootsys import RootSystem, build_root_system, format_root, parse_type
+from .rootsys import RootSystemType, _check_rank, build_root_system, format_root, parse_type
 from .weyl import classify_longest, count_reduced_words, length_of, longest_element
 from .words import _conjugation_suite, _interval_suite
 
@@ -41,9 +41,10 @@ class _Parser(argparse.ArgumentParser):
         raise _Stop(2, "", f"{self.prog}: error: {message}\n")
 
 
-def _type_arg(text: str) -> RootSystem:
+def _type_arg(text: str) -> RootSystemType:
+    # run builds the system once the whole line has parsed
     try:
-        return build_root_system(parse_type(text))
+        return _check_rank(parse_type(text))
     except WeylError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -55,7 +56,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--type",
-            dest="rs",
             required=True,
             type=_type_arg,
             metavar="TYPE",
@@ -120,8 +120,7 @@ def _factor_text(factor) -> str:
     return f"{format_root(factor.root)} (simple)"
 
 
-def _cmd_info(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_info(rs, ns) -> tuple[int, dict, list[str]]:
     n_pos = len(rs.positive_roots)
     cls = classify_longest(rs)
     payload = {
@@ -145,8 +144,7 @@ def _cmd_info(ns) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_w0(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_w0(rs, ns) -> tuple[int, dict, list[str]]:
     w0 = longest_element(rs)
     cls = classify_longest(rs)
     length = length_of(rs, w0)
@@ -170,8 +168,7 @@ def _cmd_w0(ns) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_decompose(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_decompose(rs, ns) -> tuple[int, dict, list[str]]:
     dec = canonical_decomposition(rs)
     payload = {"type": str(rs.type), "factors": [_factor_payload(f) for f in dec.factors]}
     lines = [f"factors: {len(dec.factors)}"]
@@ -180,8 +177,7 @@ def _cmd_decompose(ns) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_verify(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_verify(rs, ns) -> tuple[int, dict, list[str]]:
     report = verify_decomposition(rs, canonical_decomposition(rs))
     checks = {name: getattr(report, name) for name in report.__slots__}
     ok = report.all_ok()
@@ -190,8 +186,7 @@ def _cmd_verify(ns) -> tuple[int, dict, list[str]]:
     return 0 if ok else 1, {"type": str(rs.type), "checks": checks, "ok": ok}, lines
 
 
-def _cmd_unique(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_unique(rs, ns) -> tuple[int, dict, list[str]]:
     decs = enumerate_max_orthogonal(rs, size_bound=ns.bound)
     unique = len(decs) == 1
     payload = {
@@ -207,29 +202,25 @@ def _cmd_unique(ns) -> tuple[int, dict, list[str]]:
     return 0 if unique else 1, payload, lines
 
 
-def _cmd_tower(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_tower(rs, ns) -> tuple[int, dict, list[str]]:
     supports = parabolic_tower(rs).supports
     payload = {"type": str(rs.type), "tower": [list(J) for J in supports]}
     return 0, payload, ["tower: " + " < ".join(_fmt_set(J) for J in supports)]
 
 
-def _cmd_recursion(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_recursion(rs, ns) -> tuple[int, dict, list[str]]:
     holds = recursion_relation_check(rs)
     payload = {"type": str(rs.type), "recursion_holds": holds}
     return 0 if holds else 1, payload, [f"recursion relation holds: {str(holds).lower()}"]
 
 
-def _cmd_count_words(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_count_words(rs, ns) -> tuple[int, dict, list[str]]:
     count = count_reduced_words(rs, longest_element(rs))
     payload = {"type": str(rs.type), "count": str(count)}
     return 0, payload, [f"reduced words for the longest element: {count}"]
 
 
-def _cmd_check_identities(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_check_identities(rs, ns) -> tuple[int, dict, list[str]]:
     checks: dict[str, bool] = {}
     lines: list[str] = []
     ok, pairs, named = _conjugation_suite(rs)
@@ -255,8 +246,7 @@ def _cmd_check_identities(ns) -> tuple[int, dict, list[str]]:
     return 0 if all_ok else 1, {"type": str(rs.type), "checks": checks, "ok": all_ok}, lines
 
 
-def _cmd_export(ns) -> tuple[int, dict, list[str]]:
-    rs = ns.rs
+def _cmd_export(rs, ns) -> tuple[int, dict, list[str]]:
     dec = canonical_decomposition(rs)
     cls = classify_longest(rs)
     tower = parabolic_tower(rs)
@@ -306,7 +296,7 @@ def run(argv) -> tuple[int, str, str]:
     except _Stop as stop:
         return stop.args
     try:
-        code, payload, lines = _VERBS[ns.verb][1](ns)
+        code, payload, lines = _VERBS[ns.verb][1](build_root_system(ns.type), ns)
     except WeylError as exc:
         return 1, "", f"error: {exc}\n"
     # export has no text form: it always renders its payload as JSON.

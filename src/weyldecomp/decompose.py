@@ -28,10 +28,9 @@ from .rootsys import (
     _dot,
     _highest_by_support,
     dominance_leq,
-    highest_root_of,
+    identity_matrix,
     is_root,
     pairing2,
-    parabolic_embedding,
     support,
 )
 from .weyl import (
@@ -314,22 +313,26 @@ def recursion_relation_check(rs: RootSystem) -> bool:
 
     Let theta be the highest root and J the largest connected component of
     the nodes orthogonal to theta (the first step of Kostant's cascade).  The
-    longest element factors as the image of the longest element of the
-    parabolic on J under its embedding, times the reflection in theta and, in
-    the families whose theta-perp has a second component (B and D, where it
-    is the first node), the reflection in that component's highest root.  The
-    tail roots are orthogonal to J and to each other, so all these
-    reflections commute and one order suffices.
+    longest element factors as the longest element w0(J) of the parabolic on
+    J, times the reflection in theta and, in the families whose theta-perp
+    has a second component (B and D, where it is the first node), the
+    reflection in that component's highest root.  The tail roots are
+    orthogonal to J and to each other, so all these reflections commute and
+    one order suffices.  W_J is the Coxeter group on the simple reflections
+    in J, so w0(J) is walked in rs's own letters: for j in J, column j of an
+    element of W_J is a root of the parabolic with the same height, and the
+    greedy walk from the identity with its letters taken from J stops at
+    w0(J).  The w0 it is compared with comes from the unrestricted walk.
     """
     if str(rs.type) in _NO_RELATION:
         raise NoRelation(f"no cross-rank recursion is defined for {rs.type}")
     theta, perp = next(_cascade(rs))
     J = max(perp, key=len)
-    inner, index_map = parabolic_embedding(rs, J)
-    inner_word = _greedy_walk(inner, [1] * inner.rank)
-    embedded = [rs.simple_root(index_map[letter]) for letter in inner_word]
-    tail = [theta] + [highest_root_of(rs, K) for K in perp if K != J]
-    return reflection_product(rs, embedded + tail) == longest_element(rs)
+    simple = identity_matrix(rs.rank)
+    inner = [simple[i - 1] for i in _greedy_walk(rs, [1] * rs.rank, J)]
+    top = _highest_by_support(rs)
+    tail = [theta] + [top[K] for K in perp if K != J]
+    return reflection_product(rs, inner + tail) == longest_element(rs)
 
 
 class ParabolicTower(_Record):
@@ -379,26 +382,18 @@ def parabolic_tower(rs: RootSystem) -> ParabolicTower:
 def epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
     """The coordinate-frame factorization of the longest element for B and C.
 
-    Returns n mutually orthogonal roots whose reflections multiply to the
-    longest element: the tail sums a_i + ... + a_n in family B, and their
-    long-root counterparts 2(a_i + ... + a_(n-1)) + a_n (with a_n itself last)
-    in family C.  These are generally not highest roots of parabolics, so
-    they form a second, different maximal orthogonal set.
+    Returns the positive roots of the squared length of a_n, by descending
+    height: the short roots e_i = a_i + ... + a_n in family B and the long
+    roots 2e_i = 2(a_i + ... + a_(n-1)) + a_n in family C.  They are mutually
+    orthogonal and their reflections multiply to the longest element.  These
+    are generally not highest roots of parabolics, so they form a second,
+    different maximal orthogonal set.
     """
-    fam, n = rs.family, rs.rank
-    if fam == "B":
-        roots = [
-            tuple(1 if j >= i else 0 for j in range(1, n + 1)) for i in range(1, n + 1)
-        ]
-    elif fam == "C":
-        roots = [
-            tuple(2 if i <= j < n else (1 if j == n else 0) for j in range(1, n + 1))
-            for i in range(1, n)
-        ]
-        roots.append(tuple(1 if j == n else 0 for j in range(1, n + 1)))
-    else:
+    if rs.family not in ("B", "C"):
         raise WrongFamily(f"coordinate-frame factorization needs B or C, not {rs.type}")
-    return tuple(roots)
+    a_n = rs.simple_root(rs.rank)
+    frame = pairing2(rs, a_n, a_n)
+    return tuple(r for r in reversed(rs.positive_roots) if pairing2(rs, r, r) == frame)
 
 
 def dn_orthogonality_pattern(rs: RootSystem) -> bool:

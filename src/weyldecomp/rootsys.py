@@ -287,13 +287,18 @@ def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def _check_rank(t: RootSystemType) -> RootSystemType:
+    """t itself, or TooLarge when its rank is above ``_MAX_RANK`` (64)."""
+    if t.rank > _MAX_RANK:
+        raise TooLarge(f"{t} has rank {t.rank}, over the limit of {_MAX_RANK}")
+    return t
+
+
 @lru_cache(maxsize=None)
 def build_root_system(t: RootSystemType) -> RootSystem:
     """Construct (and cache) the root system of an admissible type; a rank
     above ``_MAX_RANK`` (64) raises TooLarge before any root is enumerated."""
-    if t.rank > _MAX_RANK:
-        raise TooLarge(f"{t} has rank {t.rank}, over the limit of {_MAX_RANK}")
-    gram2 = _gram2_for(t)
+    gram2 = _gram2_for(_check_rank(t))
     coroots = _simple_coroots(gram2)
     positive = _enumerate_positive_roots(coroots)
     index = {r: i for i, r in enumerate(positive)}
@@ -324,12 +329,14 @@ def height(x: Root) -> int:
 
 
 def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
-    """The doubled inner product 2*(x, y); exact for all lattice vectors."""
+    """The doubled inner product 2*(x, y); exact for all lattice vectors.
+    Gram row i is gram2[i][i] / 2 times the sparse coroot row of a_i."""
     if len(x) != rs.rank or len(y) != rs.rank:
         raise DimensionMismatch(
             f"vectors of length {len(x)} and {len(y)} in a rank-{rs.rank} system"
         )
-    return sum(xi * _dot(row, y) for xi, row in zip(x, rs.gram2) if xi)
+    rows, g = rs.simple_coroots, rs.gram2
+    return sum(x[i] * (g[i][i] // 2) * _pair(y, rows[i]) for i in compress(range(len(x)), x))
 
 
 @lru_cache(maxsize=None)

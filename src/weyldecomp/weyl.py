@@ -104,20 +104,22 @@ def simple_reflection(rs: RootSystem, i: int) -> Matrix:
     return evaluate_word(rs, [i])
 
 
-def _greedy_walk(rs: RootSystem, heights: list[int]) -> list[int]:
+def _greedy_walk(rs: RootSystem, heights: list[int], letters=None) -> list[int]:
     """The letters of a greedy walk on column heights, updated in place:
-    while some height is positive, for at most as many steps as there are
-    positive roots, multiply on the right by s_i for the smallest such i."""
-    letters = []
+    while some height among the allowed ``letters`` (ascending, 1-based; all
+    by default) is positive, for at most as many steps as there are positive
+    roots, multiply on the right by s_i for the smallest such i."""
+    nodes = list(range(rs.rank)) if letters is None else [i - 1 for i in letters]
+    word = []
     for _ in range(len(rs.positive_roots)):
-        i = next((j for j, h in enumerate(heights) if h > 0), None)
+        i = next((j for j in nodes if heights[j] > 0), None)
         if i is None:
             break
         hi = heights[i]
         for j, c in rs.simple_coroots[i]:
             heights[j] -= c * hi
-        letters.append(i + 1)
-    return letters
+        word.append(i + 1)
+    return word
 
 
 def _check_shape(rs: RootSystem, m: Matrix) -> None:

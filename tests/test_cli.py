@@ -22,8 +22,10 @@ from weyldecomp.decompose import (
     parabolic_tower,
 )
 from weyldecomp.errors import InvalidType, TooLarge
-from weyldecomp.rootsys import system
+from weyldecomp.rootsys import build_root_system, system
 from weyldecomp.weyl import classify_longest
+
+from util import clear_package_caches
 
 
 def invoke(*argv):
@@ -331,6 +333,19 @@ def test_rank_over_the_limit_is_refused():
     assert code == 2 and out == ""
     assert "1000" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_usage_error_after_a_valid_type_builds_no_system():
+    # The type is parsed and its rank checked while parsing; the system is
+    # built only once the whole command line has parsed.
+    clear_package_caches()
+    code, out, err = invoke("verify", "--type", "B64", "--nope")
+    assert (code, out, err) == (2, "", "weyldecomp: error: unrecognized arguments: --nope\n")
+    assert build_root_system.cache_info().currsize == 0
+    code, out, err = invoke("verify", "--type", "A65", "--nope")
+    message = "argument --type: A65 has rank 65, over the limit of 64"
+    assert (code, out, err) == (2, "", f"weyldecomp verify: error: {message}\n")
+    assert build_root_system.cache_info().currsize == 0
 
 
 def test_count_words_beyond_the_state_bound_is_refused():

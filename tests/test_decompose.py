@@ -27,13 +27,22 @@ from weyldecomp import (
     verify_decomposition,
 )
 
-from weyldecomp.decompose import _largest_compatible_sets, _minus_one_dimension, _negated_pool
-from weyldecomp.rootsys import _highest_by_support
+from weyldecomp.decompose import (
+    _cascade,
+    _largest_compatible_sets,
+    _minus_one_dimension,
+    _negated_pool,
+)
+from weyldecomp.rootsys import _highest_by_support, build_root_system
+from weyldecomp.weyl import _greedy_walk, evaluate_word, reflection_product
 
 from util import (
     FULL_SWEEP,
     brute_force_largest_compatible_sets,
+    clear_package_caches,
     dense_negated_pool,
+    embedded_recursion_roots,
+    formula_epsilon_factorization,
     reference_max_orthogonal,
 )
 
@@ -377,6 +386,29 @@ def test_recursion_relation_undefined_types():
             recursion_relation_check(system(t))
 
 
+def test_recursion_walks_w0_of_J_in_the_systems_own_letters():
+    # The walk from the identity with its letters taken from J stops after
+    # |positive roots of J| steps, at the element the embedded route builds
+    # through the abstract system of J; both routes give the same verdict.
+    eligible = [t for t in FULL_SWEEP if t not in decompose._NO_RELATION]
+    for t in eligible + ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        _, perp = next(_cascade(rs))
+        J = max(perp, key=len)
+        word = _greedy_walk(rs, [1] * rs.rank, J)
+        assert len(word) == sum(1 for r in rs.positive_roots if set(support(r)) <= set(J)), t
+        embedded, tail = embedded_recursion_roots(rs)
+        assert evaluate_word(rs, word) == reflection_product(rs, embedded), t
+        holds = reflection_product(rs, embedded + tail) == longest_element(rs)
+        assert recursion_relation_check(rs) is holds is True, t
+
+
+def test_recursion_builds_no_inner_system():
+    clear_package_caches()
+    assert recursion_relation_check(system("A16"))
+    assert build_root_system.cache_info().currsize == 1
+
+
 def test_parabolic_towers():
     expected = {
         "A1": ((1,),),
@@ -439,6 +471,13 @@ def test_epsilon_factorization_properties():
         for r in roots:
             product = compose(product, reflection_of(rs, r))
         assert product == longest_element(rs), t
+
+
+def test_epsilon_factorization_is_the_per_family_formula_at_every_rank():
+    for n in range(2, 65):
+        for fam in "BC":
+            rs = system(f"{fam}{n}")
+            assert epsilon_factorization(rs) == formula_epsilon_factorization(rs), rs.type
 
 
 def test_epsilon_factorization_wrong_family():

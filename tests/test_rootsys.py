@@ -32,7 +32,7 @@ from weyldecomp.rootsys import (
     negate,
 )
 
-from util import FULL_SWEEP, POSITIVE_ROOT_COUNT, exhaustive_diagram_bijection
+from util import FULL_SWEEP, POSITIVE_ROOT_COUNT, dense_pairing2, exhaustive_diagram_bijection
 
 
 def test_admissible_types_parse():
@@ -126,6 +126,18 @@ def test_pairing_fixtures():
     assert pairing2(f4, (0, 1, 2, 2), (0, 0, 1, 0)) == 0
     a2 = system("A2")
     assert pairing2(a2, (1, 1), (1, 1)) == 4
+
+
+def test_pairing_equals_the_dense_gram_form():
+    # pairing2 reads the sparse simple Cartan rows; on roots and on lattice
+    # vectors off the root lattice's roots it equals x^T G y.
+    for rs in map(system, FULL_SWEEP + ["A64", "B64", "C64", "D64"]):
+        roots = rs.positive_roots
+        step = max(1, len(roots) // 40)
+        picks = list(roots[::step]) + [tuple(range(-2, rs.rank - 2)), (3,) * rs.rank]
+        for x in picks:
+            for y in picks:
+                assert pairing2(rs, x, y) == dense_pairing2(rs, x, y), (rs.type, x, y)
 
 
 def test_pairing_dimension_mismatch():
@@ -309,11 +321,11 @@ def test_root_system_instances_are_shared():
 
 
 def _expected_coroot(rs, r):
-    """The nonzero c_j = 2 (a_j, r) / (r, r) from pairing2 alone, each an
-    exact division."""
+    """The nonzero c_j = 2 (a_j, r) / (r, r) from the dense Gram form alone,
+    each an exact division."""
     row = []
     for j in range(rs.rank):
-        q, rem = divmod(2 * pairing2(rs, rs.simple_root(j + 1), r), pairing2(rs, r, r))
+        q, rem = divmod(2 * dense_pairing2(rs, rs.simple_root(j + 1), r), dense_pairing2(rs, r, r))
         assert rem == 0, (rs.type, r, j)
         if q:
             row.append((j, q))

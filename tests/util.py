@@ -1,9 +1,11 @@
 """Shared sweep lists and independently derived oracles for the test suite."""
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
 from weyldecomp import (
     Matrix,
@@ -14,16 +16,20 @@ from weyldecomp import (
     compose,
     dominance_leq,
     evaluate_word,
+    highest_root_of,
     identity_matrix,
     length_of,
     longest_element,
     pairing2,
+    parabolic_embedding,
+    reduced_word_of,
     simple_reflection,
     system,
 )
 from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
     _ascents,
+    _components,
     _coroot,
     _coroots,
     _highest_by_support,
@@ -338,3 +344,49 @@ def brute_force_largest_compatible_sets(rs: RootSystem, roots) -> set[frozenset[
     grow((), 0)
     top = max(map(len, found))
     return {frozenset(c) for c in found if len(c) == top}
+
+
+def clear_package_caches() -> None:
+    """Empty every module-level functools cache of the package, so that a
+    test starts from a cold process's state."""
+    for name, mod in list(sys.modules.items()):
+        if name == "weyldecomp" or name.startswith("weyldecomp."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def dense_pairing2(rs: RootSystem, x, y) -> int:
+    """Reference for ``pairing2``: x^T G y with the dense doubled Gram matrix."""
+    return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, rs.gram2) if xi)
+
+
+def embedded_recursion_roots(rs: RootSystem) -> tuple[list[Root], list[Root]]:
+    """Reference for the roots of ``recursion_relation_check``, by the
+    embedded route: J is the largest component of the nodes orthogonal to
+    the highest root, w0(J) is walked in the abstract system of J that
+    ``parabolic_embedding`` identifies, and its letters are mapped back to
+    simple roots of rs.  Returns those roots and the tail: the highest root,
+    then the highest root of each other component."""
+    theta = rs.highest_root
+    simple = identity_matrix(rs.rank)
+    perp = _components(rs, [i for i, a in enumerate(simple, 1) if pairing2(rs, a, theta) == 0])
+    J = max(perp, key=len)
+    inner, index_map = parabolic_embedding(rs, J)
+    word = reduced_word_of(inner, longest_element(inner))
+    embedded = [rs.simple_root(index_map[letter]) for letter in word]
+    return embedded, [theta] + [highest_root_of(rs, K) for K in perp if K != J]
+
+
+def formula_epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
+    """Reference for ``epsilon_factorization`` from the per-family formulas:
+    the tail sums a_i + ... + a_n in B, and 2(a_i + ... + a_(n-1)) + a_n
+    followed by a_n in C."""
+    n = rs.rank
+    if rs.family == "B":
+        return tuple(tuple(int(j >= i) for j in range(1, n + 1)) for i in range(1, n + 1))
+    assert rs.family == "C"
+    roots = [
+        tuple(2 if i <= j < n else int(j == n) for j in range(1, n + 1)) for i in range(1, n)
+    ]
+    return tuple(roots) + (tuple(int(j == n) for j in range(1, n + 1)),)
