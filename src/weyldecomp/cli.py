@@ -20,14 +20,14 @@ from .decompose import (
     recursion_relation_check,
     verify_decomposition,
 )
-from .errors import WeylError
+from .errors import TooLarge, WeylError
 from .rootsys import RootSystemType, _check_rank, build_root_system, format_root, parse_type
 from .weyl import classify_longest, count_reduced_words, length_of, longest_element
 from .words import _conjugation_suite, _interval_suite
 
 
 class _Stop(Exception):
-    """Ends parsing early with run's (exit code, stdout, stderr)."""
+    """Ends parsing or a verb early with run's (exit code, stdout, stderr)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,7 +223,11 @@ def _cmd_count_words(rs, ns) -> tuple[int, dict, list[str]]:
 def _cmd_check_identities(rs, ns) -> tuple[int, dict, list[str]]:
     checks: dict[str, bool] = {}
     lines: list[str] = []
-    ok, pairs, named = _conjugation_suite(rs)
+    try:
+        ok, pairs, named = _conjugation_suite(rs)
+    except TooLarge as exc:
+        # refused before any pair is checked: a usage error, as a rank over 64 is
+        raise _Stop(2, "", f"error: {exc}\n") from None
     checks["conjugation"] = ok
     lines.append(
         f"conjugation identities: {'PASS' if ok else 'FAIL'} "
@@ -293,10 +297,9 @@ def run(argv) -> tuple[int, str, str]:
     """Execute a CLI invocation; returns (exit code, stdout text, stderr text)."""
     try:
         ns = _PARSER.parse_args(list(argv))
+        code, payload, lines = _VERBS[ns.verb][1](build_root_system(ns.type), ns)
     except _Stop as stop:
         return stop.args
-    try:
-        code, payload, lines = _VERBS[ns.verb][1](build_root_system(ns.type), ns)
     except WeylError as exc:
         return 1, "", f"error: {exc}\n"
     # export has no text form: it always renders its payload as JSON.

@@ -154,6 +154,10 @@ class RootSystem(_Record):
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root (1-based) as a coefficient vector."""
+        try:
+            i = index(i)
+        except TypeError:
+            raise DimensionMismatch(f"simple-root index {i!r} is not an integer") from None
         if not 1 <= i <= self.rank:
             raise DimensionMismatch(f"simple-root index {i} outside 1..{self.rank}")
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
@@ -321,7 +325,7 @@ def is_root(rs: RootSystem, x: Root) -> bool:
 
 def support(x: Root) -> tuple[int, ...]:
     """The 1-based indices of the nonzero coefficients of x, ascending."""
-    return tuple(i + 1 for i, c in enumerate(x) if c)
+    return tuple(compress(range(1, len(x) + 1), x))
 
 
 def height(x: Root) -> int:

@@ -10,25 +10,26 @@ its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
 entry sum) is, so w0 and reduced words take their letters from one greedy walk
 on the column heights, which M.s_i changes by h_j -= c_j h_i.
+
+A walk keeps column v as one int, sum(v_i * 256**i), so a rewrite is one int
+operation; the packing is Z-linear, so every step is exact, and only the final
+columns, roots with coefficients in -6..6, are decoded, one signed byte each.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import index
+from operator import index, mul
 
 from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
 from .rootsys import (
     Matrix,
     Root,
     RootSystem,
-    SparseRow,
     _Record,
     _ascents,
-    _combination,
     _coroot,
     _dot,
-    _sub_multiple,
     _two_rho,
     identity_matrix,
     is_root,
@@ -58,26 +59,32 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
-def _right_reflect(cols: list[Root], v: Root, row: SparseRow) -> None:
-    """Multiply an element, given as its list of columns, by s_a on the right
-    in place, where v is the element's image of a and row the coroot of a."""
-    for j, cj in row:
-        cols[j] = _sub_multiple(cols[j], cj, v)
+def _unpack(cols: list[int]) -> Matrix:
+    """The matrix of packed columns.  Adding 128 to every lane leaves bytes
+    v + 128 with no borrow, and xor with 128 makes them v's two's complement
+    (``to_bytes`` is given its length and byte order, as Python 3.10 needs)."""
+    n = len(cols)
+    bias = int.from_bytes(b"\x80" * n, "little")
+    data = b"".join([((c + bias) ^ bias).to_bytes(n, "little") for c in cols])
+    entries = memoryview(data).cast("b")
+    return tuple(tuple(entries[i::n]) for i in range(n))
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
-    cols = list(identity_matrix(rs.rank))
+    cols = [1 << 8 * i for i in range(rs.rank)]
     for r in roots:
         if not is_root(rs, r):
             raise NotARoot(f"{r} is not a root of {rs.type}")
         if sum(r) == 1:
             i = r.index(1)
-            _right_reflect(cols, cols[i], rs.simple_coroots[i])
+            v, row = cols[i], rs.simple_coroots[i]
         else:
-            _right_reflect(cols, _combination(cols, r), _coroot(rs.gram2, r))
-    return tuple(zip(*cols))
+            v, row = sum(map(mul, r, cols)), _coroot(rs.gram2, r)
+        for j, c in row:
+            cols[j] -= c * v
+    return _unpack(cols)
 
 
 def reflection_of(rs: RootSystem, a: Root) -> Matrix:
@@ -86,17 +93,20 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 
 
 def evaluate_word(rs: RootSystem, word) -> Matrix:
-    """Evaluate a word of simple-reflection letters, rightmost applied first."""
-    cols = list(identity_matrix(rs.rank))
+    """Evaluate a word of simple-reflection letters, rightmost applied first.
+    A letter is an integer in 1..rank; a bool is not a letter."""
+    cols = [1 << 8 * i for i in range(rs.rank)]
     for letter in word:
         try:
-            i = index(letter)
+            i = index(None if isinstance(letter, bool) else letter)
         except TypeError:
             raise BadLetter(f"letter {letter!r} is not an integer") from None
         if not 1 <= i <= rs.rank:
             raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
-        _right_reflect(cols, cols[i - 1], rs.simple_coroots[i - 1])
-    return tuple(zip(*cols))
+        v = cols[i - 1]
+        for j, c in rs.simple_coroots[i - 1]:
+            cols[j] -= c * v
+    return _unpack(cols)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> Matrix:

@@ -300,6 +300,36 @@ def test_index_sets_of_non_integers_are_refused():
     assert parabolic_embedding(a3, {3, 2})[1] == {1: 2, 2: 3}
 
 
+def test_simple_root_refuses_indices_that_are_not_integers():
+    a3 = system("A3")
+    for i in (1.0, 1.5, "1", None):
+        with pytest.raises(DimensionMismatch):
+            a3.simple_root(i)
+    assert a3.simple_root(3) == (0, 0, 1)
+
+
+def test_every_root_of_every_supported_type_fits_a_signed_byte():
+    # The packed walk in weyl keeps one signed byte (-128..127) per
+    # coefficient of a column, and every column it decodes is a root.  A_n,
+    # B_n, C_n and D_n have the Cartan rows of the last n nodes of rank 64, so
+    # their roots, the closure of the simple roots under those rows, are the
+    # roots of rank 64 on those nodes: rank 64 bounds every rank.
+    for fam, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        top = system(f"{fam}64")
+        for n in range(low, 64):
+            shift = 64 - n
+            tail = tuple(
+                tuple((j - shift, c) for j, c in row if j >= shift)
+                for row in top.simple_coroots[shift:]
+            )
+            assert _simple_coroots(_gram2_for(RootSystemType(fam, n))) == tail, (fam, n)
+        padded = {(0,) * 56 + r for r in system(f"{fam}8").positive_roots}
+        assert padded <= set(top.positive_roots), fam
+        assert max(map(max, top.positive_roots)) == {"A": 1, "B": 2, "C": 2, "D": 2}[fam]
+    for t, top_coefficient in {"E6": 3, "E7": 4, "E8": 6, "F4": 4, "G2": 3}.items():
+        assert max(map(max, system(t).positive_roots)) == top_coefficient, t
+
+
 def test_dominance():
     assert dominance_leq((0, 1, 0), (1, 1, 1))
     assert not dominance_leq((1, 1, 1), (0, 1, 0))

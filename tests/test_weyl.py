@@ -47,6 +47,8 @@ from util import (
     reference_longest_element,
     reference_reduced_word,
     syt_count,
+    tuple_evaluate_word,
+    tuple_reflection_product,
 )
 
 
@@ -115,7 +117,11 @@ def test_evaluate_word_refuses_letters_that_are_not_integers():
     for letter in [1.0, 1.5, "1", None]:
         with pytest.raises(BadLetter):
             evaluate_word(a2, [letter])
-    assert evaluate_word(a2, [True]) == simple_reflection(a2, 1)
+    # a bool is not a letter, although operator.index accepts it
+    with pytest.raises(BadLetter):
+        evaluate_word(a2, [True])
+    with pytest.raises(BadLetter):
+        evaluate_word(a2, [2, False])
 
 
 def test_braid_relations_hold():
@@ -370,6 +376,26 @@ def test_column_kernel_equals_dense_compose_on_random_words():
                 for j in range(1, rs.rank + 1)
             )
         assert {1, -1, top, -top} <= seen, t
+
+
+def test_packed_walk_equals_the_tuple_walk():
+    # The longest element's word and random words of simple letters, and
+    # random products of roots of either sign, the highest root included,
+    # whose coefficients are the largest a column can take.
+    for t in FULL_SWEEP + ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        rng = random.Random(t)
+        letters = range(1, rs.rank + 1)
+        words = [reduced_word_of(rs, longest_element(rs)), []]
+        words += [rng.choices(letters, k=rng.randint(1, 3 * rs.rank)) for _ in range(5)]
+        for word in words:
+            assert evaluate_word(rs, word) == tuple_evaluate_word(rs, word), (t, word)
+        roots = list(rs.positive_roots) + [negate(r) for r in rs.positive_roots]
+        for _ in range(5):
+            chosen = rng.choices(roots, k=rng.randint(1, 8)) + [rs.highest_root]
+            rng.shuffle(chosen)
+            expected = tuple_reflection_product(rs, chosen)
+            assert reflection_product(rs, chosen) == expected, (t, chosen)
 
 
 def test_count_reduced_words_refuses_large_longest_element_at_once():

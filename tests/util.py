@@ -5,10 +5,12 @@ import sys
 from collections import Counter
 from itertools import product
 from math import factorial, prod
-from operator import mul
+from operator import index, mul
 
 from weyldecomp import (
+    BadLetter,
     Matrix,
+    NotARoot,
     Root,
     RootSystem,
     TooLarge,
@@ -18,6 +20,7 @@ from weyldecomp import (
     evaluate_word,
     highest_root_of,
     identity_matrix,
+    is_root,
     length_of,
     longest_element,
     pairing2,
@@ -29,12 +32,14 @@ from weyldecomp import (
 from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
     _ascents,
+    _combination,
     _components,
     _coroot,
     _coroots,
     _highest_by_support,
     _pair,
     _simple_coroots,
+    _sub_multiple,
     _two_rho,
     negate,
 )
@@ -219,6 +224,38 @@ def reference_reduced_word(rs: RootSystem, m) -> tuple[int, ...]:
     if m != identity_matrix(rs.rank):
         raise ValueError("matrix is not a Weyl group element")
     return tuple(reversed(letters))
+
+
+def _tuple_right_reflect(cols: list[Root], v: Root, row) -> None:
+    for j, cj in row:
+        cols[j] = _sub_multiple(cols[j], cj, v)
+
+
+def tuple_reflection_product(rs: RootSystem, roots) -> Matrix:
+    """Reference for ``reflection_product``: the walk on columns kept as
+    tuples, one ``_sub_multiple`` per column rewrite, which the packed-integer
+    walk replaced."""
+    cols = list(identity_matrix(rs.rank))
+    for r in roots:
+        if not is_root(rs, r):
+            raise NotARoot(f"{r} is not a root of {rs.type}")
+        if sum(r) == 1:
+            i = r.index(1)
+            _tuple_right_reflect(cols, cols[i], rs.simple_coroots[i])
+        else:
+            _tuple_right_reflect(cols, _combination(cols, r), _coroot(rs.gram2, r))
+    return tuple(zip(*cols))
+
+
+def tuple_evaluate_word(rs: RootSystem, word) -> Matrix:
+    """Reference for ``evaluate_word`` on the tuple-column walk."""
+    cols = list(identity_matrix(rs.rank))
+    for letter in word:
+        i = index(letter)
+        if not 1 <= i <= rs.rank:
+            raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
+        _tuple_right_reflect(cols, cols[i - 1], rs.simple_coroots[i - 1])
+    return tuple(zip(*cols))
 
 
 def generate_group(rs: RootSystem) -> dict[Matrix, int]:
