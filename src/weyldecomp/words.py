@@ -10,14 +10,18 @@ cases and ``conjugated_root`` computes the resulting (positive) root directly.
 The identity checks compare exact products of reflections.  Only the sweep
 over all pairs of roots compares by images of 2 rho, the sum of the positive
 roots: 2 rho is regular, so two elements of W are equal exactly when they
-send it to the same vector, and a reflection moves a vector by the rank-one
-update s_r(x) = x - <x, r-check> r at O(n).  The test does not separate W
-from the diagram automorphisms (in A2, -I and w0 both send 2 rho to -2 rho);
-in the sweep both sides are products of reflections, so it is exact there.
+send it to the same vector.  The test does not separate W from the diagram
+automorphisms (in A2, -I and w0 both send 2 rho to -2 rho); in the sweep both
+sides are products of reflections, so it is exact there.  A vector v is
+packed as the int sum(v_j * 2**(32*j)), Z-linear and one to one on entries in
+(-2**31, 2**31): the sweep meets only roots and images of 2 rho under W, whose
+entries are at most those of 2 rho, below 2000 wherever it runs.  The literal
+product expands by linearity: with y = s_a(2 rho), c = <b, a-check> and
+k1 = <y, b-check>, s_a(s_b(y)) = y - k1*b - (<y, a-check> - k1*c)*a.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import index, mul
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional, TooLarge
 from .rootsys import (
@@ -106,19 +110,10 @@ def classify_conjugation(rs: RootSystem, a: Root, b: Root) -> ConjugationCase | 
     p_ab = pairing2(rs, a, b)
     if p_ab == 0:
         raise Orthogonal(f"{a} and {b} are orthogonal")
-    return _named_case(pairing2(rs, a, a), pairing2(rs, b, b), p_ab)
-
-
-@lru_cache(maxsize=None)
-def _named_case(p_aa: int, p_bb: int, p_ab: int) -> ConjugationCase | None:
-    """The named pattern of a non-orthogonal pair from its doubled pairings
-    2(a,a), 2(b,b) and 2(a,b), or None outside the table."""
-    entry = _CASE_TABLE.get((p_aa, p_bb, abs(p_ab)))
+    entry = _CASE_TABLE.get((pairing2(rs, a, a), pairing2(rs, b, b), abs(p_ab)))
     if entry is None:
         return None
-    rule, k = entry
-    sign = "Minus" if p_ab < 0 else "Plus"
-    return ConjugationCase(rule=rule, sign=sign, coefficient=k)
+    return ConjugationCase(entry[0], "Minus" if p_ab < 0 else "Plus", entry[1])
 
 
 def predicted_conjugate(rs: RootSystem, a: Root, b: Root, case: ConjugationCase) -> Root:
@@ -127,12 +122,17 @@ def predicted_conjugate(rs: RootSystem, a: Root, b: Root, case: ConjugationCase)
     return positive_representative(rs, tuple(bc + k * ac for bc, ac in zip(b, a)))
 
 
-def _check_range(rs: RootSystem, k: int, n: int, *, allow_equal: bool = False) -> None:
+def _check_range(rs: RootSystem, k: int, n: int, *, allow_equal: bool = False) -> tuple[int, int]:
     if rs.family != "A":
         raise BadRange(f"identity defined in family A only, not {rs.type}")
+    try:
+        k, n = index(k), index(n)
+    except TypeError:
+        raise BadRange(f"need integers k and n, got k={k!r}, n={n!r}") from None
     if not (1 <= k <= n <= rs.rank and (allow_equal or k < n)):
         op = "<=" if allow_equal else "<"
         raise BadRange(f"need 1 <= k {op} n <= {rs.rank}, got k={k}, n={n}")
+    return k, n
 
 
 def _interval_root(rs: RootSystem, k: int, n: int) -> Root:
@@ -147,7 +147,7 @@ def check_lambda_v(rs: RootSystem, k: int, n: int) -> bool:
     as group elements, and checks that both equal the reflection in
     a_k + ... + a_n.  Requires an A-family system and 1 <= k <= n <= rank.
     """
-    _check_range(rs, k, n, allow_equal=True)
+    k, n = _check_range(rs, k, n, allow_equal=True)
     up_then_down = list(range(k, n + 1)) + list(range(n - 1, k - 1, -1))
     down_then_up = list(range(n, k - 1, -1)) + list(range(k + 1, n + 1))
     target = reflection_of(rs, _interval_root(rs, k, n))
@@ -164,7 +164,7 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     (s_(n-1) ... s_(k+1)) . s_(a_k+...+a_n)  as group elements.  Requires an
     A-family system and 1 <= k < n <= rank.
     """
-    _check_range(rs, k, n)
+    k, n = _check_range(rs, k, n)
     left = [_interval_root(rs, k, n - 1), *map(rs.simple_root, range(n, k - 1, -1))]
     right = [*map(rs.simple_root, range(n - 1, k, -1)), _interval_root(rs, k, n)]
     return reflection_product(rs, left) == reflection_product(rs, right)
@@ -177,51 +177,61 @@ def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
     return reflection_product(rs, [delta, tau, delta]) == s_conj
 
 
-# Most ordered pairs the conjugation sweep takes on, about a minute's work at
-# 13-20 us a pair: D45 (3918420 pairs) takes 59 s on a 2-core VM, B45 76 s.
+# Most ordered pairs the conjugation sweep takes on.  At 6-10 us a pair, check-identities
+# answers D45 (3918420 pairs) in 23-25 s on a 2-core VM, and A62, the slowest, in 33-39 s.
 _PAIR_BOUND = 4_000_000
+
+
+def _position(positions: dict[int, int], b: int, c: int, a: int) -> int:
+    """The index of the positive root +-(b - c*a), for packed roots b and a."""
+    try:
+        return positions[b - c * a]
+    except KeyError:
+        raise NotARoot(f"{b:#x} - {c} * {a:#x} is not a packed root") from None
 
 
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named).
     More than ``_PAIR_BOUND`` pairs raise TooLarge before any is checked.
-
-    Each pair's literal conjugate s_a . s_b . s_a is compared with s_conj by
-    their images of 2 rho: s_a(s_b(s_a(2 rho))) from two rank-one reflections
-    of s_a(2 rho), against s_conj(2 rho).  Each root's image of 2 rho, Gram
-    row G.r and doubled squared length are computed once, so a pair's doubled
-    pairing 2(a, b) is one dot product.
-    """
+    A, B and Y are a, b and y = s_a(2 rho) packed.  The closed-form conjugate
+    is the root at B - c*A, the literal expansion must give its image of 2 rho,
+    and a named case must give it at B -/+ k*A."""
     roots = rs.positive_roots
     if (total := len(roots) * (len(roots) - 1)) > _PAIR_BOUND:
         message = f"identity sweep of {rs.type} needs {total} pairs"
         raise TooLarge(f"{message}, over the bound of {_PAIR_BOUND}")
+    lanes = [1 << 32 * j for j in range(rs.rank)]
     coroots = _coroots(rs)
     two_rho = _two_rho(rs)
-    moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
-    gram_row = {r: _combination(rs.gram2, r) for r in roots}
-    norm = {r: _dot(r, gram_row[r]) for r in roots}
-    pairs = 0
-    named = 0
-    for a in roots:
-        a_coroot, a_row, a_norm, a_moved = coroots[a], gram_row[a], norm[a], moved[a]
-        for b in roots:
-            if a == b:
+    moved = [_reflect(two_rho, r, coroots[r]) for r in roots]
+    image = [_dot(y, lanes) for y in moved]
+    packed = [_dot(r, lanes) for r in roots]
+    positions = {s * p: i for i, p in enumerate(packed) for s in (1, -1)}
+    coroot = [[dict(coroots[r]).get(j, 0) for j in range(rs.rank)] for r in roots]
+    gram_row = [_combination(rs.gram2, r) for r in roots]
+    norm = [_dot(r, g) for r, g in zip(roots, gram_row)]
+    pairs = named = 0
+    for i, A in enumerate(packed):
+        a_row, a_norm, y, Y = gram_row[i], norm[i], moved[i], image[i]
+        y_a = sum(map(mul, y, coroot[i]))
+        for j, (b, B, b_coroot, b_norm) in enumerate(zip(roots, packed, coroot, norm)):
+            if i == j:
                 continue
             pairs += 1
-            conj = conjugated_root(rs, a, b)
-            literal = _reflect(_reflect(a_moved, b, coroots[b]), a, a_coroot)
-            if moved[conj] != literal:
+            p_ab = sum(map(mul, b, a_row))
+            c = 2 * p_ab // a_norm
+            conj = _position(positions, B, c, A)
+            k1 = sum(map(mul, y, b_coroot))
+            if Y - k1 * B - (y_a - k1 * c) * A != image[conj]:
                 return False, pairs, named
-            p_ab = _dot(b, a_row)
             if p_ab == 0:
-                if conj != b:
+                if conj != j:
                     return False, pairs, named
                 continue
-            case = _named_case(a_norm, norm[b], p_ab)
-            if case is not None:
+            entry = _CASE_TABLE.get((a_norm, b_norm, abs(p_ab)))
+            if entry is not None:
                 named += 1
-                if predicted_conjugate(rs, a, b, case) != conj:
+                if _position(positions, B, entry[1] if p_ab > 0 else -entry[1], A) != conj:
                     return False, pairs, named
     return True, pairs, named
 

@@ -8,6 +8,7 @@ from weyldecomp import (
     NotARoot,
     Orthogonal,
     Proportional,
+    TooLarge,
     apply_matrix,
     check_lambda_v,
     check_permutation_lemma,
@@ -24,9 +25,9 @@ from weyldecomp import (
     system,
     words,
 )
-from weyldecomp.rootsys import _coroots, _two_rho
+from weyldecomp.rootsys import _coroots, _pair, _two_rho
 
-from util import FULL_SWEEP
+from util import FULL_SWEEP, tuple_conjugation_suite
 
 
 def test_conjugated_root_fixtures():
@@ -247,14 +248,82 @@ def test_identity_checks_catch_a_wrong_conjugate(monkeypatch):
     assert pairing2(a2, a, b) != 0
     assert words._conjugation_suite(a2)[0] and conjugation_identity_holds(a2, a, b)
     true_conjugate = words.conjugated_root
+    true_position = words._position
 
     def wrong(rs, delta, tau):
         return tau if pairing2(rs, delta, tau) else true_conjugate(rs, delta, tau)
 
+    def wrong_position(positions, b, c, a):
+        return true_position(positions, b, 0, a)  # b in place of b - c*a
+
+    # The sweep's closed-form step is the packed lookup, the matrix route's
+    # is conjugated_root: both give tau for a non-orthogonal pair.
+    monkeypatch.setattr(words, "_position", wrong_position)
     monkeypatch.setattr(words, "conjugated_root", wrong)
     # The first pair fails on the literal route, before any case is named.
     assert words._conjugation_suite(a2) == (False, 1, 0)
     assert not conjugation_identity_holds(a2, a, b)
+
+
+def test_identity_sweep_catches_a_wrong_case_coefficient(monkeypatch):
+    # The first pair of B2 is short a2 acting on long a1, ShortLong_B_F4:
+    # a1 + 2a2.  With k = 1 the case names the root a1 + a2 instead.
+    b2 = system("B2")
+    assert b2.positive_roots[:2] == ((0, 1), (1, 0))
+    assert classify_conjugation(b2, (0, 1), (1, 0)).rule == "ShortLong_B_F4"
+    assert words._conjugation_suite(b2) == (True, 12, 8)
+    monkeypatch.setitem(words._CASE_TABLE, (2, 4, 2), ("ShortLong_B_F4", 1))
+    assert words._conjugation_suite(b2) == (False, 1, 1)
+    # a1 + 3a2 is no root: the packed lookup raises NotARoot, not KeyError
+    monkeypatch.setitem(words._CASE_TABLE, (2, 4, 2), ("ShortLong_B_F4", 3))
+    with pytest.raises(NotARoot):
+        words._conjugation_suite(b2)
+
+
+def test_identity_sweep_catches_a_wrong_image_of_two_rho(monkeypatch):
+    # The first pair of A2 is a2 acting on a1, whose conjugate is a1 + a2:
+    # a wrong image of 2 rho under s_(a1+a2) fails the literal route there.
+    a2 = system("A2")
+    assert a2.positive_roots == ((0, 1), (1, 0), (1, 1))
+    true_reflect = words._reflect
+
+    def wrong(x, r, coroot):
+        image = true_reflect(x, r, coroot)
+        return (image[0] + 1, image[1]) if r == (1, 1) else image
+
+    monkeypatch.setattr(words, "_reflect", wrong)
+    assert words._conjugation_suite(a2) == (False, 1, 0)
+
+
+def test_packed_sweep_equals_the_tuple_sweep():
+    for t in FULL_SWEEP + ["A20", "D16"]:
+        rs = system(t)
+        assert words._conjugation_suite(rs) == tuple_conjugation_suite(rs), t
+
+
+def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
+    """Every root, every image of 2 rho and every k1*b and k2*a term of the
+    sweep has entries in (-2**31, 2**31) on the largest admitted type of each
+    family.  k1 = <s_a(2 rho), b-check> = <2 rho, s_a(b)-check> and
+    k2 = <s_b(s_a(2 rho)), a-check> = <2 rho, s_a(s_b(a))-check> are each
+    <2 rho, r-check> for a root r, so N roots bound them.  Images of 2 rho
+    under W, the literal side included, have entries at most those of 2 rho:
+    w(2 rho) is a signed sum of the positive roots."""
+    for t, refused in [("A62", "A63"), ("B44", "B45"), ("C44", "C45"), ("D45", "D46"), ("E8", "")]:
+        rs = system(t)
+        assert len(rs.positive_roots) * (len(rs.positive_roots) - 1) <= words._PAIR_BOUND
+        if refused:
+            with pytest.raises(TooLarge):
+                words._conjugation_suite(system(refused))
+        coroots = _coroots(rs)
+        two_rho = _two_rho(rs)
+        largest_root = max(max(map(abs, r)) for r in rs.positive_roots)
+        largest_image = max(
+            max(map(abs, words._reflect(two_rho, r, coroots[r]))) for r in rs.positive_roots
+        )
+        largest_k = max(abs(_pair(two_rho, coroots[r])) for r in rs.positive_roots)
+        assert largest_image == max(two_rho), t
+        assert max(largest_root, largest_image, largest_k * largest_root) < 2**31, t
 
 
 def test_permutation_lemma_catches_a_wrong_interval_root(monkeypatch):
@@ -268,3 +337,12 @@ def test_permutation_lemma_catches_a_wrong_interval_root(monkeypatch):
 
     monkeypatch.setattr(words, "_interval_root", wrong)
     assert not check_permutation_lemma(a3, 1, 3)
+
+
+def test_interval_identities_refuse_indices_that_are_not_integers():
+    a5 = system("A5")
+    for k, n in [(1.0, 2), (1, 2.0), ("1", 2), (None, 3)]:
+        with pytest.raises(BadRange):
+            check_lambda_v(a5, k, n)
+        with pytest.raises(BadRange):
+            check_permutation_lemma(a5, k, n)

@@ -36,6 +36,7 @@ from weyldecomp.rootsys import (
     _components,
     _coroot,
     _coroots,
+    _dot,
     _highest_by_support,
     _pair,
     _simple_coroots,
@@ -44,6 +45,12 @@ from weyldecomp.rootsys import (
     negate,
 )
 from weyldecomp.weyl import reflection_product
+from weyldecomp.words import (
+    _reflect,
+    classify_conjugation,
+    conjugated_root,
+    predicted_conjugate,
+)
 
 # The full sweep of admissible types exercised by the acceptance criteria.
 FULL_SWEEP = (
@@ -427,3 +434,41 @@ def formula_epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
         tuple(2 if i <= j < n else int(j == n) for j in range(1, n + 1)) for i in range(1, n)
     ]
     return tuple(roots) + (tuple(int(j == n) for j in range(1, n + 1)),)
+
+
+def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
+    """Reference for ``words._conjugation_suite``, with no pair bound: the
+    sweep on tuple roots, which the packed-integer sweep replaced.  Each
+    ordered pair of distinct positive roots takes ``conjugated_root``, the
+    literal s_a(s_b(s_a(2 rho))) by two rank-one reflections against the
+    conjugate's image of 2 rho, and ``predicted_conjugate`` for a case
+    ``classify_conjugation`` names; returns (ok, pairs, named) at the first
+    failure or the end."""
+    roots = rs.positive_roots
+    coroots = _coroots(rs)
+    two_rho = _two_rho(rs)
+    moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
+    gram_row = {r: _combination(rs.gram2, r) for r in roots}
+    pairs = 0
+    named = 0
+    for a in roots:
+        a_coroot, a_row, a_moved = coroots[a], gram_row[a], moved[a]
+        for b in roots:
+            if a == b:
+                continue
+            pairs += 1
+            conj = conjugated_root(rs, a, b)
+            literal = _reflect(_reflect(a_moved, b, coroots[b]), a, a_coroot)
+            if moved[conj] != literal:
+                return False, pairs, named
+            p_ab = _dot(b, a_row)
+            if p_ab == 0:
+                if conj != b:
+                    return False, pairs, named
+                continue
+            case = classify_conjugation(rs, a, b)
+            if case is not None:
+                named += 1
+                if predicted_conjugate(rs, a, b, case) != conj:
+                    return False, pairs, named
+    return True, pairs, named
