@@ -14,6 +14,9 @@ on the column heights, which M.s_i changes by h_j -= c_j h_i.
 A walk keeps column v as one int, sum(v_i * 256**i), so a rewrite is one int
 operation; the packing is Z-linear, so every step is exact, and only the final
 columns, roots with coefficients in -6..6, are decoded, one signed byte each.
+The reduced-word count keys an element u by the Dynkin labels of u(2 rho),
+16 bits a label, so its descents are the negative lanes, read in one int
+operation, and each step up is one int operation.
 """
 from __future__ import annotations
 
@@ -27,13 +30,10 @@ from .rootsys import (
     Root,
     RootSystem,
     _Record,
-    _ascents,
     _coroot,
     _dot,
-    _two_rho,
     identity_matrix,
     is_root,
-    negate,
     pairing2,
 )
 
@@ -132,16 +132,24 @@ def _greedy_walk(rs: RootSystem, heights: list[int], letters=None) -> list[int]:
     return word
 
 
-def _check_shape(rs: RootSystem, m: Matrix) -> None:
-    """Raise DimensionMismatch unless m has rank-many rows, each of that length."""
+def _check_shape(rs: RootSystem, m: Matrix) -> Matrix:
+    """m as a tuple of int rows; DimensionMismatch unless it has rank-many rows,
+    each of that length and of integer entries (taken through ``index``)."""
     if len(m) != rs.rank:
         raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
+    rows = []
     for row in m:
         if len(row) != rs.rank:
             raise DimensionMismatch(
                 f"{len(m)}-row matrix with a row of length {len(row)} "
                 f"in a rank-{rs.rank} system"
             )
+        try:
+            rows.append(tuple(map(index, row)))
+        except TypeError:
+            message = f"matrix row {row!r} has an entry that is not an integer"
+            raise DimensionMismatch(message) from None
+    return tuple(rows)
 
 
 def length_of(rs: RootSystem, m: Matrix) -> int:
@@ -153,8 +161,7 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
-    _check_shape(rs, m)
-    columns, zero = list(zip(*m)), (0,) * rs.rank
+    columns, zero = list(zip(*_check_shape(rs, m))), (0,) * rs.rank
     if zero in columns:
         raise ValueError("matrix is not a Weyl group element")
     return [i for i, col in enumerate(columns, 1) if col < zero]
@@ -203,9 +210,9 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     """A canonical reduced word for m: repeatedly strip the smallest descent,
     read from m's negated column heights; a matrix outside W fails to evaluate
     back to m."""
-    _check_shape(rs, m)
+    m = _check_shape(rs, m)
     word = tuple(reversed(_greedy_walk(rs, [-sum(col) for col in zip(*m)])))
-    if evaluate_word(rs, word) != tuple(map(tuple, m)):
+    if evaluate_word(rs, word) != m:
         raise ValueError("matrix is not a Weyl group element")
     return word
 
@@ -224,47 +231,71 @@ def _group_order(rs: RootSystem) -> int:
 def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) -> int:
     """The number of reduced words for m, counted one length at a time.
 
-    An element u is keyed by the vector u(2 rho), which determines u because
-    2 rho, the sum of the positive roots, is regular.  Its left descents are
-    the simple reflections that move that vector up, so each layer maps every
-    vector to its ascents and adds up the ways; after l(m) layers from m(2 rho)
-    only 2 rho is left.  The distinct elements visited are bounded by
+    An element u is keyed by the Dynkin labels p_i = <u(2 rho), a_i-check>,
+    a linear bijection of u(2 rho), which determines u because 2 rho, the sum
+    of the positive roots, is regular.  Its left descents are the i with
+    p_i < 0, and s_i moves the labels up to p - p_i * A_i, where A_i, row i of
+    the Cartan matrix, holds the labels of a_i.  Each layer maps every element
+    to its ascents and adds up the ways; after l(m) layers from the labels of
+    m(2 rho), walked by m's reduced word from those of 2 rho (all 2), only
+    2 rho is left.  The distinct elements visited are bounded by
     ``state_bound``; exceeding it raises TooLarge.
+
+    The labels are packed as sum(p_i * 2**(16*i)), Z-linear and one to one on
+    labels in (-2**15, 2**15): a label of u(2 rho) is +-<2 rho, b-check> for a
+    positive root b, at most 2(h - 1) for the Coxeter number h, 254 on B64.
+    With 2**15 added to every lane, a lane's top bit is clear exactly when
+    p_i < 0, so ``~(x + bias) & bias`` marks the descents.
 
     For the longest element w0 the sweep stops halfway.  After j layers the
     weight at u(2 rho) counts the paths from w0 down to u, and the paths from
     u on down to the identity are as many as the paths from w0 down to u.w0,
     which sits after N - j layers at u.w0(2 rho) = -u(2 rho), since
-    w0(2 rho) = -2 rho.  So with N = l(w0) the count is the sum over x of
-    W_ceil(N/2)[x] * W_floor(N/2)[-x], where W_j is the layer after j steps.
-    Every element lies below w0, so for w0 an order above the bound is refused
-    at once.
+    w0(2 rho) = -2 rho, whose packed labels are -x.  So with N = l(w0) the
+    count is the sum over x of W_ceil(N/2)[x] * W_floor(N/2)[-x], where W_j
+    is the layer after j steps.  Every element lies below w0, so for w0 an
+    order above the bound is refused at once.
     """
-    _check_shape(rs, m)
-    m = tuple(map(tuple, m))
+    m = _check_shape(rs, m)
     longest = m == longest_element(rs)
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(
             f"reduced-word search for the longest element of {rs.type} needs "
             f"{order} states, over the bound of {state_bound}"
         )
-    two_rho = _two_rho(rs)
-    length = len(reduced_word_of(rs, m))
-    layer = Counter({apply_matrix(m, two_rho): 1})
+    word = reduced_word_of(rs, m)
+    cartan = [0] * rs.rank
+    for k, row in enumerate(rs.simple_coroots):
+        for j, c in row:
+            cartan[j] += c << 16 * k
+    lanes = sum(1 << 16 * i for i in range(rs.rank))
+    two_rho, bias = 2 * lanes, lanes << 15
+    # The sign bit of lane i -> (16 i, A_i); each descent mask -> its steps.
+    steps = {1 << 16 * i + 15: (16 * i, a) for i, a in enumerate(cartan)}
+    moves: dict[int, list[tuple[int, int]]] = {}
+    x = two_rho
+    for i in reversed(word):
+        x -= (((x + bias) >> 16 * (i - 1) & 0xFFFF) - 0x8000) * cartan[i - 1]
+    layer = {x: 1}
     states = 1
-    for _ in range((length + 1) // 2 if longest else length):
+    for _ in range((len(word) + 1) // 2 if longest else len(word)):
         previous = layer
-        ways: Counter[Root] = Counter()
+        ways: dict[int, int] = {}
         for x, k in layer.items():
-            for y in _ascents(rs.simple_coroots, x):
-                ways[y] += k
+            biased = x + bias
+            descent = ~biased & bias
+            if descent not in moves:
+                moves[descent] = [step for bit, step in steps.items() if descent & bit]
+            for shift, a in moves[descent]:
+                y = x - ((biased >> shift & 0xFFFF) - 0x8000) * a
+                ways[y] = ways.get(y, 0) + k
         layer = ways
         states += len(layer)
         if states > state_bound:
             raise TooLarge(f"reduced-word search exceeded {state_bound} states")
     if longest:
-        half = previous if length % 2 else layer
-        return sum(k * half[negate(x)] for x, k in layer.items())
+        half = previous if len(word) % 2 else layer
+        return sum(k * half.get(-x, 0) for x, k in layer.items())
     return layer[two_rho]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache, reduce
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,20 @@ def test_walks_check_the_matrix_dimension():
     for m in [too_small, too_tall, too_wide, ragged]:
         for walk in [descents, length_of, reduced_word_of, count_reduced_words]:
             with pytest.raises(DimensionMismatch):
+                walk(a3, m)
+
+
+def test_walks_refuse_matrix_entries_that_are_not_integers():
+    # The float identity once had length 0 and the float w0 16 reduced words;
+    # a str entry ended descents in a TypeError.
+    a3 = system("A3")
+    float_identity = tuple(tuple(map(float, row)) for row in identity_matrix(3))
+    float_w0 = tuple(tuple(map(float, row)) for row in longest_element(a3))
+    half = ((0.5, 0, 0), (0, 1, 0), (0, 0, 1))
+    with_str = ((1, 0, 0), (0, "1", 0), (0, 0, 1))
+    for m in [float_identity, float_w0, half, with_str]:
+        for walk in [descents, length_of, reduced_word_of, count_reduced_words]:
+            with pytest.raises(DimensionMismatch, match="not an integer"):
                 walk(a3, m)
 
 
@@ -486,6 +501,72 @@ def test_two_rho_does_not_separate_diagram_automorphisms():
     assert minus_identity != w0
     two_rho = _two_rho(a2)
     assert apply_matrix(minus_identity, two_rho) == apply_matrix(w0, two_rho) == (-2, -2)
+
+
+SUPPORTED = (
+    [f"A{n}" for n in range(1, 65)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 65)]
+    + [f"D{n}" for n in range(3, 65)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _largest_coroot_label(rs) -> int:
+    """The largest <2 rho, b-check> = 2 (2 rho, b) / (b, b) over positive roots
+    b.  <2 rho, a_j-check> = 2 gives (2 rho, a_j) = (a_j, a_j), so with the
+    doubled Gram matrix 2 (2 rho, b) = sum_j b_j gram2[j][j]."""
+    diag = [row[j] for j, row in enumerate(rs.gram2)]
+    return max(2 * sum(map(mul, b, diag)) // pairing2(rs, b, b) for b in rs.positive_roots)
+
+
+def test_labels_of_images_of_two_rho_are_coroot_pairings():
+    # <u(2 rho), a_i-check> = <2 rho, u^-1(a_i)-check>, and u^-1(a_i) runs
+    # over every root, so the largest |label| of a W-image of 2 rho is the
+    # largest pairing of 2 rho with a positive coroot.
+    for t in GROUP_ORDER:
+        rs = system(t)
+        two_rho = _two_rho(rs)
+        simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+        largest = max(
+            abs(cartan_integer(rs, apply_matrix(u, two_rho), a))
+            for u in generate_group(rs)
+            for a in simple
+        )
+        assert largest == _largest_coroot_label(rs), t
+
+
+def test_labels_fit_a_signed_16_bit_lane_on_every_supported_type():
+    # count_reduced_words packs the labels in 16-bit lanes.  The largest
+    # pairing is twice the height of the highest coroot, 2(h - 1) for the
+    # Coxeter number h = 2N / rank.
+    assert len(SUPPORTED) == 257
+    largest = {}
+    for t in SUPPORTED:
+        rs = system(t)
+        twice_n = 2 * len(rs.positive_roots)
+        assert twice_n % rs.rank == 0, t
+        largest[t] = _largest_coroot_label(rs)
+        assert largest[t] == 2 * (twice_n // rs.rank - 1), t
+    top = max(largest.values())
+    assert top == 254 < 2**15
+    assert [t for t, v in largest.items() if v == top] == ["B64", "C64"]
+
+
+def test_count_reduced_words_at_rank_64_equals_the_full_sweep():
+    # Short non-longest words: through node 64 of B and C, at the end of the
+    # double bond, and through the fork of D at nodes 62, 63 and 64.
+    words = {
+        "A64": (1, 2, 1, 63, 64, 63, 32, 33),
+        "B64": (64, 63, 64, 63, 62, 63, 1),
+        "C64": (63, 64, 63, 64, 62, 61, 2),
+        "D64": (62, 63, 64, 62, 61, 62, 60),
+    }
+    for t, word in words.items():
+        rs = system(t)
+        m = evaluate_word(rs, word)
+        assert m != longest_element(rs)
+        count = count_reduced_words(rs, m)
+        assert count == full_sweep_reduced_word_count(rs, m) > 1, t
 
 
 def test_count_reduced_words_takes_the_longest_element_as_lists():
