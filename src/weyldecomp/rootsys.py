@@ -367,7 +367,7 @@ def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
         raise NotARoot(f"{a} is not a root of {rs.type}")
     if len(x) != rs.rank:
         raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
-    return _pair(x, _coroots(rs)[a])
+    return _pair(x, _coroot(rs.gram2, a))
 
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:

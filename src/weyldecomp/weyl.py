@@ -20,6 +20,7 @@ operation, and each step up is one int operation.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from operator import index, mul
@@ -32,20 +33,30 @@ from .rootsys import (
     _Record,
     _coroot,
     _dot,
-    identity_matrix,
     is_root,
     pairing2,
 )
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, taken through ``index``; DimensionMismatch
+    names ``what`` when an entry is not an integer."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DimensionMismatch(f"{what} {values!r} has an entry that is not an integer") from None
+
+
 def apply_matrix(m: Matrix, x: Root) -> Root:
-    """Apply m to a coefficient vector (columns are images of simple roots)."""
+    """Apply m to a coefficient vector (columns are images of simple roots).
+    Every entry of m and x must be an integer, or DimensionMismatch is raised."""
     if len(x) != len(m):
         raise DimensionMismatch(f"vector of length {len(x)} under a {len(m)}x{len(m)} matrix")
     for row in m:
         if len(row) != len(x):
             raise DimensionMismatch(f"vector of length {len(x)} under a row of length {len(row)}")
-    return tuple(_dot(row, x) for row in m)
+    x = _integers(x, "vector")
+    return tuple(_dot(_integers(row, "matrix row"), x) for row in m)
 
 
 def compose(u: Matrix, v: Matrix) -> Matrix:
@@ -59,14 +70,26 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
+def _signed_lanes(packed: list[int], count: int, code: str) -> memoryview:
+    """The lanes of packed ints, ``count`` to an int, int after int, each one
+    item of memoryview format ``code``: "b", a signed byte, or "i", 32 bits.
+    Adding half a lane's range to every lane leaves v + half with no borrow,
+    and xor with half makes it v's two's complement.  ``to_bytes`` (given its
+    length and byte order, as Python 3.10 needs) writes in the host's order,
+    so a big-endian host joins the ints in reverse and reads the view back."""
+    width = {"b": 1, "i": 4}[code]
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    order = sys.byteorder
+    ints = packed if order == "little" else packed[::-1]
+    data = b"".join([((x + bias) ^ bias).to_bytes(width * count, order) for x in ints])
+    view = memoryview(data).cast(code)
+    return view if order == "little" else view[::-1]
+
+
 def _unpack(cols: list[int]) -> Matrix:
-    """The matrix of packed columns.  Adding 128 to every lane leaves bytes
-    v + 128 with no borrow, and xor with 128 makes them v's two's complement
-    (``to_bytes`` is given its length and byte order, as Python 3.10 needs)."""
+    """The matrix of packed columns, one signed byte a coefficient."""
     n = len(cols)
-    bias = int.from_bytes(b"\x80" * n, "little")
-    data = b"".join([((c + bias) ^ bias).to_bytes(n, "little") for c in cols])
-    entries = memoryview(data).cast("b")
+    entries = _signed_lanes(cols, n, "b")
     return tuple(tuple(entries[i::n]) for i in range(n))
 
 
@@ -144,11 +167,7 @@ def _check_shape(rs: RootSystem, m: Matrix) -> Matrix:
                 f"{len(m)}-row matrix with a row of length {len(row)} "
                 f"in a rank-{rs.rank} system"
             )
-        try:
-            rows.append(tuple(map(index, row)))
-        except TypeError:
-            message = f"matrix row {row!r} has an entry that is not an integer"
-            raise DimensionMismatch(message) from None
+        rows.append(_integers(row, "matrix row"))
     return tuple(rows)
 
 
@@ -301,8 +320,9 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
 
 def preserves_form(rs: RootSystem, m: Matrix) -> bool:
     """True iff m preserves the doubled Gram pairing (is an orthogonal map):
-    the images of the simple roots pair as the Gram matrix says."""
-    images = [apply_matrix(m, a) for a in identity_matrix(rs.rank)]
+    the images of the simple roots pair as the Gram matrix says.  m is checked
+    as the matrix walks check it, with DimensionMismatch."""
+    images = list(zip(*_check_shape(rs, m)))
     return all(
         pairing2(rs, x, y) == g for x, row in zip(images, rs.gram2) for y, g in zip(images, row)
     )

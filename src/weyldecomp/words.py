@@ -18,10 +18,18 @@ packed as the int sum(v_j * 2**(32*j)), Z-linear and one to one on entries in
 entries are at most those of 2 rho, below 2000 wherever it runs.  The literal
 product expands by linearity: with y = s_a(2 rho), c = <b, a-check> and
 k1 = <y, b-check>, s_a(s_b(y)) = y - k1*b - (<y, a-check> - k1*c)*a.
+
+The sweep computes c and k1 once per conjugator a, as two rows over all
+roots b.  Coordinate m of every positive root, and of every coroot, is packed
+across the roots into one int, root b in 32-bit lane b.  c's row is the sum
+of c_m times root column m over a's sparse coroot, k1's row the sum of y_m
+times coroot column m, and each row is decoded once, so a pair costs one
+dict lookup, the literal expansion and a table lookup: about 1.5 us on a
+2-core VM.
 """
 from __future__ import annotations
 
-from operator import index, mul
+from operator import index
 
 from .errors import BadRange, NotARoot, Orthogonal, Proportional, TooLarge
 from .rootsys import (
@@ -35,11 +43,12 @@ from .rootsys import (
     _pair,
     _sub_multiple,
     _two_rho,
+    identity_matrix,
     is_root,
     negate,
     pairing2,
 )
-from .weyl import evaluate_word, reflection_of, reflection_product
+from .weyl import _signed_lanes, evaluate_word, reflection_of, reflection_product
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
@@ -165,8 +174,9 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     A-family system and 1 <= k < n <= rank.
     """
     k, n = _check_range(rs, k, n)
-    left = [_interval_root(rs, k, n - 1), *map(rs.simple_root, range(n, k - 1, -1))]
-    right = [*map(rs.simple_root, range(n - 1, k, -1)), _interval_root(rs, k, n)]
+    simple = identity_matrix(rs.rank)
+    left = [_interval_root(rs, k, n - 1), *simple[k - 1 : n][::-1]]
+    right = [*simple[k : n - 1][::-1], _interval_root(rs, k, n)]
     return reflection_product(rs, left) == reflection_product(rs, right)
 
 
@@ -177,8 +187,8 @@ def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
     return reflection_product(rs, [delta, tau, delta]) == s_conj
 
 
-# Most ordered pairs the conjugation sweep takes on.  At 6-10 us a pair, check-identities
-# answers D45 (3918420 pairs) in 23-25 s on a 2-core VM, and A62, the slowest, in 33-39 s.
+# Most ordered pairs the conjugation sweep takes on.  At about 1.5 us a pair, check-identities
+# answers D45 (3918420 pairs) in 6-8 s of CPU on a 2-core VM, and A62, the slowest, in 9-10 s.
 _PAIR_BOUND = 4_000_000
 
 
@@ -190,12 +200,31 @@ def _position(positions: dict[int, int], b: int, c: int, a: int) -> int:
         raise NotARoot(f"{b:#x} - {c} * {a:#x} is not a packed root") from None
 
 
+def _columns(vectors: list[Root]) -> list[int]:
+    """Coordinate m of every vector packed into one int, vector j in 32-bit
+    lane j: 2**31 added to every entry makes its four bytes non-negative, and
+    the bias of 2**31 in every lane comes off the int after."""
+    bias = int.from_bytes(b"\0\0\0\x80" * len(vectors), "little")
+    return [
+        int.from_bytes(b"".join([(v + 2**31).to_bytes(4, "little") for v in column]), "little")
+        - bias
+        for column in zip(*vectors)
+    ]
+
+
+def _row(columns: list[int], coefficients, count: int) -> memoryview:
+    """The ``count`` lanes of the sum of c * columns[m] over the (m, c) pairs."""
+    return _signed_lanes([sum(c * columns[m] for m, c in coefficients if c)], count, "i")
+
+
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named).
     More than ``_PAIR_BOUND`` pairs raise TooLarge before any is checked.
-    A, B and Y are a, b and y = s_a(2 rho) packed.  The closed-form conjugate
-    is the root at B - c*A, the literal expansion must give its image of 2 rho,
-    and a named case must give it at B -/+ k*A."""
+    A, B and Y are a, b and y = s_a(2 rho) packed.  For each conjugator a,
+    c = <b, a-check> and k1 = <y, b-check> over all b come as two rows of
+    lanes.  The closed-form conjugate is the root at B - c*A, the literal
+    expansion must give its image of 2 rho, and a named case must give it at
+    B -/+ k*A."""
     roots = rs.positive_roots
     if (total := len(roots) * (len(roots) - 1)) > _PAIR_BOUND:
         message = f"identity sweep of {rs.type} needs {total} pairs"
@@ -207,31 +236,29 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     image = [_dot(y, lanes) for y in moved]
     packed = [_dot(r, lanes) for r in roots]
     positions = {s * p: i for i, p in enumerate(packed) for s in (1, -1)}
-    coroot = [[dict(coroots[r]).get(j, 0) for j in range(rs.rank)] for r in roots]
-    gram_row = [_combination(rs.gram2, r) for r in roots]
-    norm = [_dot(r, g) for r, g in zip(roots, gram_row)]
+    norm = [_dot(r, _combination(rs.gram2, r)) for r in roots]
+    root_columns = _columns(roots)
+    coroot_columns = _columns([[dict(coroots[r]).get(m, 0) for m in range(rs.rank)] for r in roots])
     pairs = named = 0
-    for i, A in enumerate(packed):
-        a_row, a_norm, y, Y = gram_row[i], norm[i], moved[i], image[i]
-        y_a = sum(map(mul, y, coroot[i]))
-        for j, (b, B, b_coroot, b_norm) in enumerate(zip(roots, packed, coroot, norm)):
+    for i, (a, A, y, Y, a_norm) in enumerate(zip(roots, packed, moved, image, norm)):
+        y_a = _pair(y, coroots[a])
+        c_row = _row(root_columns, coroots[a], len(roots))
+        k1_row = _row(coroot_columns, enumerate(y), len(roots))
+        for j, (B, c, k1, b_norm) in enumerate(zip(packed, c_row, k1_row, norm)):
             if i == j:
                 continue
             pairs += 1
-            p_ab = sum(map(mul, b, a_row))
-            c = 2 * p_ab // a_norm
             conj = _position(positions, B, c, A)
-            k1 = sum(map(mul, y, b_coroot))
             if Y - k1 * B - (y_a - k1 * c) * A != image[conj]:
                 return False, pairs, named
-            if p_ab == 0:
+            if not c:
                 if conj != j:
                     return False, pairs, named
                 continue
-            entry = _CASE_TABLE.get((a_norm, b_norm, abs(p_ab)))
+            entry = _CASE_TABLE.get((a_norm, b_norm, abs(c * a_norm // 2)))
             if entry is not None:
                 named += 1
-                if _position(positions, B, entry[1] if p_ab > 0 else -entry[1], A) != conj:
+                if _position(positions, B, entry[1] if c > 0 else -entry[1], A) != conj:
                     return False, pairs, named
     return True, pairs, named
 

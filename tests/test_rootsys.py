@@ -28,6 +28,7 @@ from weyldecomp.rootsys import (
     _coroots,
     _diagram_bijection,
     _gram2_for,
+    _pair,
     _simple_coroots,
     negate,
 )
@@ -164,6 +165,20 @@ def test_cartan_integer_requires_a_root():
 def test_cartan_integer_accepts_negative_roots():
     a2 = system("A2")
     assert cartan_integer(a2, (1, 0), (-1, -1)) == -1
+
+
+def test_cartan_integer_leaves_the_coroot_table_unbuilt():
+    # One pairing needs the coroot of one root, not the table of every root.
+    for t in ["B4", "G2"]:
+        rs = system(t)
+        roots = rs.positive_roots + tuple(negate(r) for r in rs.positive_roots)
+        table = _coroots(rs)
+        expected = [_pair(x, table[a]) for a in roots for x in rs.positive_roots]
+        fresh = build_root_system.__wrapped__(parse_type(t))
+        built = _coroots.cache_info().currsize
+        got = [cartan_integer(fresh, x, a) for a in roots for x in fresh.positive_roots]
+        assert got == expected, t
+        assert _coroots.cache_info().currsize == built, t
 
 
 def test_is_root_and_support():

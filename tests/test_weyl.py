@@ -249,6 +249,26 @@ def test_walks_refuse_matrix_entries_that_are_not_integers():
                 walk(a3, m)
 
 
+def test_preserves_form_and_apply_matrix_refuse_entries_that_are_not_integers():
+    # In A3, preserves_form once gave True for the float identity and
+    # apply_matrix(I, (0.5, 0, 0)) returned (0.5, 0.0, 0.0).
+    a3 = system("A3")
+    identity = identity_matrix(3)
+    float_identity = tuple(tuple(map(float, row)) for row in identity)
+    half = ((0.5, 0, 0), (0, 1, 0), (0, 0, 1))
+    with_str = ((1, 0, 0), (0, "1", 0), (0, 0, 1))
+    for m in [float_identity, half, with_str]:
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            preserves_form(a3, m)
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            apply_matrix(m, (1, 0, 0))
+    for x in [(0.5, 0, 0), (1.0, 0, 0), (0, "1", 0), (None, 0, 0)]:
+        with pytest.raises(DimensionMismatch, match="not an integer"):
+            apply_matrix(identity, x)
+    assert preserves_form(a3, identity)
+    assert apply_matrix(identity, [1, -2, 3]) == (1, -2, 3)
+
+
 def test_apply_matrix_checks_every_row_length():
     a3 = system("A3")
     too_wide = tuple(row + (0,) for row in identity_matrix(3))

@@ -1,6 +1,8 @@
 """Conjugation closed forms and the interval word identities."""
 from __future__ import annotations
 
+from operator import mul
+
 import pytest
 
 from weyldecomp import (
@@ -324,6 +326,29 @@ def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
         largest_k = max(abs(_pair(two_rho, coroots[r])) for r in rs.positive_roots)
         assert largest_image == max(two_rho), t
         assert max(largest_root, largest_image, largest_k * largest_root) < 2**31, t
+
+
+def test_row_lanes_equal_the_pairings_at_the_largest_admitted_types():
+    """The sweep's rows of c = <b, a-check> and k1 = <s_a(2 rho), b-check>,
+    decoded from 32-bit lanes, equal the pairings over every positive root b,
+    for the first, a middle and the last conjugator a: negative lanes and the
+    byte order come back exactly."""
+    for t in ["A62", "B44", "C44", "D45", "E8"]:
+        rs = system(t)
+        roots = rs.positive_roots
+        coroots = _coroots(rs)
+        dense = [[dict(coroots[b]).get(m, 0) for m in range(rs.rank)] for b in roots]
+        root_columns, coroot_columns = words._columns(roots), words._columns(dense)
+        two_rho = _two_rho(rs)
+        lowest = [0, 0]
+        for a in (roots[0], roots[len(roots) // 2], roots[-1]):
+            y = words._reflect(two_rho, a, coroots[a])
+            c_row = words._row(root_columns, coroots[a], len(roots))
+            k1_row = words._row(coroot_columns, enumerate(y), len(roots))
+            assert list(c_row) == [_pair(b, coroots[a]) for b in roots], (t, a)
+            assert list(k1_row) == [sum(map(mul, y, row)) for row in dense], (t, a)
+            lowest = [min(lowest[0], min(c_row)), min(lowest[1], min(k1_row))]
+        assert max(lowest) < 0, t  # both rows have negative lanes
 
 
 def test_permutation_lemma_catches_a_wrong_interval_root(monkeypatch):
