@@ -9,9 +9,15 @@ Normalization per family (squared lengths): A/D/E roots 2; B long 2, short 1;
 C short 2, long 4; F4 long 2, short 1; G2 short 1, long 3.  Hence the doubled
 Gram matrix has diagonal 4 for every squared-length-2 root, 2 for
 squared-length-1, 8 for squared-length-4, and 6 for squared-length-3.
+
+Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
+j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
+vectors is one int operation, and one to one on entries in a lane's signed
+range.  Each caller fixes its width by the largest entry it can meet.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, index, mul, sub
@@ -265,16 +271,46 @@ def _sub_multiple(x: Root, c: int, v: Root) -> Root:
     return tuple(map(sub, x, map(mul, repeat(c), v)))
 
 
-def _ascents(coroots: tuple[SparseRow, ...], x: Root):
-    """s_i(x) = x - <x, a_i-check> a_i for every simple root a_i with
-    <x, a_i-check> < 0, given the sparse simple Cartan rows: the simple
-    reflections that move x up, towards the dominant chamber."""
-    for i, row in enumerate(coroots):
-        k = 0
+def _bias(count: int, width: int) -> int:
+    """Half a lane's range, 2**(8*width-1), in each of ``count`` lanes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(vector, width: int) -> int:
+    """The vector packed by one bytes-join, linear in its length: every entry
+    plus half a lane's range is non-negative, and the bias comes off after."""
+    half = 1 << 8 * width - 1
+    data = b"".join([(v + half).to_bytes(width, "little") for v in vector])
+    return int.from_bytes(data, "little") - _bias(len(vector), width)
+
+
+def _units(count: int, width: int) -> list[int]:
+    """The packed unit vectors: entry i has 1 in lane i."""
+    return [1 << 8 * width * i for i in range(count)]
+
+
+def _sparse_columns(rows, count: int, width: int) -> list[int]:
+    """The ``count`` columns of sparse (j, c) rows, packed with row k in lane k."""
+    columns = [[0] * len(rows) for _ in range(count)]
+    for k, row in enumerate(rows):
         for j, c in row:
-            k += x[j] * c
-        if k < 0:
-            yield x[:i] + (x[i] - k,) + x[i + 1 :]
+            columns[j][k] = c
+    return [_pack(column, width) for column in columns]
+
+
+def _lanes(packed: list[int], count: int, width: int) -> memoryview:
+    """The signed lanes of packed ints, ``count`` to an int, int after int:
+    with the bias added each lane is v + half, and xor makes it v's two's
+    complement.  ``to_bytes`` writes in the host's order (Python 3.10 needs
+    it given), so a big-endian host reverses the ints and then the view.
+    Ints are joined 4096 at a time, which bounds the bytes objects alive."""
+    bias, size, order = _bias(count, width), width * count, sys.byteorder
+    ints = packed if order == "little" else packed[::-1]
+    data = bytearray()
+    for k in range(0, len(ints), 4096):
+        data += b"".join([((x + bias) ^ bias).to_bytes(size, order) for x in ints[k : k + 4096]])
+    view = memoryview(data).cast({1: "b", 2: "h", 4: "i"}[width])
+    return view if order == "little" else view[::-1]
 
 
 def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...]:
@@ -282,13 +318,23 @@ def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...
     upward simple reflections: a non-simple positive root r has some
     <r, a_i-check> > 0, and s_i(r) is a lower positive root that moves up to
     r.  Ordering is by height, ties broken lexicographically.
-    """
-    new = identity_matrix(len(coroots))
-    roots = set(new)
+
+    A root x is one int: its Dynkin labels <x, a_j-check>, in -3..3, in the
+    low n 1-byte lanes and its coefficients, in 0..6, in the high n.  The
+    step s_i(x) = x - p_i * a_i is one int operation on the packed a_i, taken
+    when the label p_i is negative: when byte i of x plus the bias is below
+    128, the bias in each label lane."""
+    n, w = len(coroots), 2 * len(coroots)
+    simple = list(map(add, _sparse_columns(coroots, n, 1), _units(w, 1)[n:]))
+    new, roots, bias = simple, set(simple), _bias(n, 1)
     while new:
-        new = {y for x in new for y in _ascents(coroots, x)} - roots
-        roots |= new
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+        biased = [(x, (x + bias).to_bytes(w, "little")) for x in new]
+        up = {x - (p - 128) * a for x, ps in biased for p, a in zip(ps, simple) if p < 128}
+        new = list(up - roots)
+        roots.update(new)
+    lanes = _lanes(list(roots), w, 1)
+    vectors = zip(*[lanes[j::w] for j in range(n, w)])
+    return tuple(sorted(vectors, key=lambda r: (sum(r), r)))
 
 
 def _check_rank(t: RootSystemType) -> RootSystemType:
@@ -341,18 +387,6 @@ def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
         )
     rows, g = rs.simple_coroots, rs.gram2
     return sum(x[i] * (g[i][i] // 2) * _pair(y, rows[i]) for i in compress(range(len(x)), x))
-
-
-@lru_cache(maxsize=None)
-def _coroots(rs: RootSystem) -> dict[Root, SparseRow]:
-    """The coroot ``_coroot(rs.gram2, r)`` of every root r, positive and
-    negative, computed once per system; the row of -r is minus that of r."""
-    table = {}
-    for r in rs.positive_roots:
-        row = _coroot(rs.gram2, r)
-        table[r] = row
-        table[negate(r)] = tuple((j, -c) for j, c in row)
-    return table
 
 
 def _two_rho(rs: RootSystem) -> Root:

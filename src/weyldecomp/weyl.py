@@ -11,16 +11,14 @@ its Dynkin neighbours change; the RootSystem holds these rows as
 entry sum) is, so w0 and reduced words take their letters from one greedy walk
 on the column heights, which M.s_i changes by h_j -= c_j h_i.
 
-A walk keeps column v as one int, sum(v_i * 256**i), so a rewrite is one int
-operation; the packing is Z-linear, so every step is exact, and only the final
-columns, roots with coefficients in -6..6, are decoded, one signed byte each.
-The reduced-word count keys an element u by the Dynkin labels of u(2 rho),
-16 bits a label, so its descents are the negative lanes, read in one int
-operation, and each step up is one int operation.
+A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
+rewrite is one int operation; only the final columns, roots with coefficients
+in -6..6, are decoded.  The reduced-word count keys an element u by the
+Dynkin labels of u(2 rho), at most 254 in size, in 2-byte lanes, so each
+step up is one int operation.
 """
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from functools import lru_cache
 from operator import index, mul
@@ -33,6 +31,12 @@ from .rootsys import (
     _Record,
     _coroot,
     _dot,
+    _lanes,
+    _pack,
+    _pair,
+    _sparse_columns,
+    _two_rho,
+    _units,
     is_root,
     pairing2,
 )
@@ -70,33 +74,17 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     )
 
 
-def _signed_lanes(packed: list[int], count: int, code: str) -> memoryview:
-    """The lanes of packed ints, ``count`` to an int, int after int, each one
-    item of memoryview format ``code``: "b", a signed byte, or "i", 32 bits.
-    Adding half a lane's range to every lane leaves v + half with no borrow,
-    and xor with half makes it v's two's complement.  ``to_bytes`` (given its
-    length and byte order, as Python 3.10 needs) writes in the host's order,
-    so a big-endian host joins the ints in reverse and reads the view back."""
-    width = {"b": 1, "i": 4}[code]
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    order = sys.byteorder
-    ints = packed if order == "little" else packed[::-1]
-    data = b"".join([((x + bias) ^ bias).to_bytes(width * count, order) for x in ints])
-    view = memoryview(data).cast(code)
-    return view if order == "little" else view[::-1]
-
-
 def _unpack(cols: list[int]) -> Matrix:
     """The matrix of packed columns, one signed byte a coefficient."""
     n = len(cols)
-    entries = _signed_lanes(cols, n, "b")
+    entries = _lanes(cols, n, 1)
     return tuple(tuple(entries[i::n]) for i in range(n))
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
-    cols = [1 << 8 * i for i in range(rs.rank)]
+    cols = _units(rs.rank, 1)
     for r in roots:
         if not is_root(rs, r):
             raise NotARoot(f"{r} is not a root of {rs.type}")
@@ -118,7 +106,7 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first.
     A letter is an integer in 1..rank; a bool is not a letter."""
-    cols = [1 << 8 * i for i in range(rs.rank)]
+    cols = _units(rs.rank, 1)
     for letter in word:
         try:
             i = index(None if isinstance(letter, bool) else letter)
@@ -256,15 +244,14 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     p_i < 0, and s_i moves the labels up to p - p_i * A_i, where A_i, row i of
     the Cartan matrix, holds the labels of a_i.  Each layer maps every element
     to its ascents and adds up the ways; after l(m) layers from the labels of
-    m(2 rho), walked by m's reduced word from those of 2 rho (all 2), only
-    2 rho is left.  The distinct elements visited are bounded by
-    ``state_bound``; exceeding it raises TooLarge.
+    m(2 rho), only 2 rho, whose labels are all 2, is left.  The distinct
+    elements visited are bounded by ``state_bound``; exceeding it raises
+    TooLarge.
 
-    The labels are packed as sum(p_i * 2**(16*i)), Z-linear and one to one on
-    labels in (-2**15, 2**15): a label of u(2 rho) is +-<2 rho, b-check> for a
-    positive root b, at most 2(h - 1) for the Coxeter number h, 254 on B64.
-    With 2**15 added to every lane, a lane's top bit is clear exactly when
-    p_i < 0, so ``~(x + bias) & bias`` marks the descents.
+    The labels are packed in 2-byte lanes (see ``rootsys``): a label of
+    u(2 rho) is +-<2 rho, b-check> for a positive root b, at most 2(h - 1) for
+    the Coxeter number h, 254 on B64.  Each layer has its labels decoded
+    once, and lane i is read down the layer for each i.
 
     For the longest element w0 the sweep stops halfway.  After j layers the
     weight at u(2 rho) counts the paths from w0 down to u, and the paths from
@@ -283,31 +270,20 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
             f"{order} states, over the bound of {state_bound}"
         )
     word = reduced_word_of(rs, m)
-    cartan = [0] * rs.rank
-    for k, row in enumerate(rs.simple_coroots):
-        for j, c in row:
-            cartan[j] += c << 16 * k
-    lanes = sum(1 << 16 * i for i in range(rs.rank))
-    two_rho, bias = 2 * lanes, lanes << 15
-    # The sign bit of lane i -> (16 i, A_i); each descent mask -> its steps.
-    steps = {1 << 16 * i + 15: (16 * i, a) for i, a in enumerate(cartan)}
-    moves: dict[int, list[tuple[int, int]]] = {}
-    x = two_rho
-    for i in reversed(word):
-        x -= (((x + bias) >> 16 * (i - 1) & 0xFFFF) - 0x8000) * cartan[i - 1]
-    layer = {x: 1}
+    n = rs.rank
+    cartan = _sparse_columns(rs.simple_coroots, n, 2)
+    image = apply_matrix(m, _two_rho(rs))
+    layer = {_pack([_pair(image, row) for row in rs.simple_coroots], 2): 1}
     states = 1
     for _ in range((len(word) + 1) // 2 if longest else len(word)):
         previous = layer
         ways: dict[int, int] = {}
-        for x, k in layer.items():
-            biased = x + bias
-            descent = ~biased & bias
-            if descent not in moves:
-                moves[descent] = [step for bit, step in steps.items() if descent & bit]
-            for shift, a in moves[descent]:
-                y = x - ((biased >> shift & 0xFFFF) - 0x8000) * a
-                ways[y] = ways.get(y, 0) + k
+        labels = _lanes(list(layer), n, 2)
+        for i, a in enumerate(cartan):
+            for x, k, p in zip(layer, layer.values(), labels[i::n]):
+                if p < 0:
+                    y = x - p * a
+                    ways[y] = ways.get(y, 0) + k
         layer = ways
         states += len(layer)
         if states > state_bound:
@@ -315,7 +291,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     if longest:
         half = previous if len(word) % 2 else layer
         return sum(k * half.get(-x, 0) for x, k in layer.items())
-    return layer[two_rho]
+    return layer[_pack([2] * n, 2)]
 
 
 def preserves_form(rs: RootSystem, m: Matrix) -> bool:

@@ -12,20 +12,20 @@ over all pairs of roots compares by images of 2 rho, the sum of the positive
 roots: 2 rho is regular, so two elements of W are equal exactly when they
 send it to the same vector.  The test does not separate W from the diagram
 automorphisms (in A2, -I and w0 both send 2 rho to -2 rho); in the sweep both
-sides are products of reflections, so it is exact there.  A vector v is
-packed as the int sum(v_j * 2**(32*j)), Z-linear and one to one on entries in
-(-2**31, 2**31): the sweep meets only roots and images of 2 rho under W, whose
-entries are at most those of 2 rho, below 2000 wherever it runs.  The literal
-product expands by linearity: with y = s_a(2 rho), c = <b, a-check> and
-k1 = <y, b-check>, s_a(s_b(y)) = y - k1*b - (<y, a-check> - k1*c)*a.
+sides are products of reflections, so it is exact there.  The sweep packs
+vectors in 4-byte lanes (see ``rootsys``): it meets only roots and images of
+2 rho under W, whose entries are at most those of 2 rho, below 2000 wherever
+it runs.  The literal product expands by linearity: with y = s_a(2 rho),
+c = <b, a-check> and k1 = <y, b-check>, s_a(s_b(y)) = y - k1*b -
+(<y, a-check> - k1*c)*a.
 
 The sweep computes c and k1 once per conjugator a, as two rows over all
 roots b.  Coordinate m of every positive root, and of every coroot, is packed
-across the roots into one int, root b in 32-bit lane b.  c's row is the sum
-of c_m times root column m over a's sparse coroot, k1's row the sum of y_m
-times coroot column m, and each row is decoded once, so a pair costs one
-dict lookup, the literal expansion and a table lookup: about 1.5 us on a
-2-core VM.
+across the roots into one int, root b in lane b.  c's row is the sum of c_m
+times root column m over a's sparse coroot, k1's row the sum of y_m times
+coroot column m, and each row is decoded once, so a pair costs one dict
+lookup, the literal expansion and a table lookup: about 1.5 us on a 2-core
+VM.
 """
 from __future__ import annotations
 
@@ -37,10 +37,11 @@ from .rootsys import (
     RootSystem,
     SparseRow,
     _Record,
-    _combination,
-    _coroots,
-    _dot,
+    _coroot,
+    _lanes,
+    _pack,
     _pair,
+    _sparse_columns,
     _sub_multiple,
     _two_rho,
     identity_matrix,
@@ -48,7 +49,7 @@ from .rootsys import (
     negate,
     pairing2,
 )
-from .weyl import _signed_lanes, evaluate_word, reflection_of, reflection_product
+from .weyl import evaluate_word, reflection_of, reflection_product
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
@@ -72,7 +73,7 @@ def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     for x in (delta, tau):
         if not is_root(rs, x):
             raise NotARoot(f"{x} is not a root of {rs.type}")
-    return positive_representative(rs, _reflect(tau, delta, _coroots(rs)[delta]))
+    return positive_representative(rs, _reflect(tau, delta, _coroot(rs.gram2, delta)))
 
 
 class ConjugationCase(_Record):
@@ -200,21 +201,9 @@ def _position(positions: dict[int, int], b: int, c: int, a: int) -> int:
         raise NotARoot(f"{b:#x} - {c} * {a:#x} is not a packed root") from None
 
 
-def _columns(vectors: list[Root]) -> list[int]:
-    """Coordinate m of every vector packed into one int, vector j in 32-bit
-    lane j: 2**31 added to every entry makes its four bytes non-negative, and
-    the bias of 2**31 in every lane comes off the int after."""
-    bias = int.from_bytes(b"\0\0\0\x80" * len(vectors), "little")
-    return [
-        int.from_bytes(b"".join([(v + 2**31).to_bytes(4, "little") for v in column]), "little")
-        - bias
-        for column in zip(*vectors)
-    ]
-
-
 def _row(columns: list[int], coefficients, count: int) -> memoryview:
     """The ``count`` lanes of the sum of c * columns[m] over the (m, c) pairs."""
-    return _signed_lanes([sum(c * columns[m] for m, c in coefficients if c)], count, "i")
+    return _lanes([sum(c * columns[m] for m, c in coefficients if c)], count, 4)
 
 
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
@@ -229,20 +218,19 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     if (total := len(roots) * (len(roots) - 1)) > _PAIR_BOUND:
         message = f"identity sweep of {rs.type} needs {total} pairs"
         raise TooLarge(f"{message}, over the bound of {_PAIR_BOUND}")
-    lanes = [1 << 32 * j for j in range(rs.rank)]
-    coroots = _coroots(rs)
+    coroots = [_coroot(rs.gram2, r) for r in roots]
     two_rho = _two_rho(rs)
-    moved = [_reflect(two_rho, r, coroots[r]) for r in roots]
-    image = [_dot(y, lanes) for y in moved]
-    packed = [_dot(r, lanes) for r in roots]
+    moved = [_reflect(two_rho, r, row) for r, row in zip(roots, coroots)]
+    image = [_pack(y, 4) for y in moved]
+    packed = [_pack(r, 4) for r in roots]
     positions = {s * p: i for i, p in enumerate(packed) for s in (1, -1)}
-    norm = [_dot(r, _combination(rs.gram2, r)) for r in roots]
-    root_columns = _columns(roots)
-    coroot_columns = _columns([[dict(coroots[r]).get(m, 0) for m in range(rs.rank)] for r in roots])
+    norm = [pairing2(rs, r, r) for r in roots]
+    root_columns = [_pack(column, 4) for column in zip(*roots)]
+    coroot_columns = _sparse_columns(coroots, rs.rank, 4)
     pairs = named = 0
-    for i, (a, A, y, Y, a_norm) in enumerate(zip(roots, packed, moved, image, norm)):
-        y_a = _pair(y, coroots[a])
-        c_row = _row(root_columns, coroots[a], len(roots))
+    for i, (A, y, Y, a_norm, a_coroot) in enumerate(zip(packed, moved, image, norm, coroots)):
+        y_a = _pair(y, a_coroot)
+        c_row = _row(root_columns, a_coroot, len(roots))
         k1_row = _row(coroot_columns, enumerate(y), len(roots))
         for j, (B, c, k1, b_norm) in enumerate(zip(packed, c_row, k1_row, norm)):
             if i == j:

@@ -25,15 +25,23 @@ from weyldecomp import (
     system,
 )
 from weyldecomp.rootsys import (
-    _coroots,
+    _coroot,
     _diagram_bijection,
     _gram2_for,
+    _lanes,
+    _pack,
     _pair,
     _simple_coroots,
     negate,
 )
 
-from util import FULL_SWEEP, POSITIVE_ROOT_COUNT, dense_pairing2, exhaustive_diagram_bijection
+from util import (
+    FULL_SWEEP,
+    POSITIVE_ROOT_COUNT,
+    dense_pairing2,
+    exhaustive_diagram_bijection,
+    tuple_positive_roots,
+)
 
 
 def test_admissible_types_parse():
@@ -56,6 +64,24 @@ def test_unparseable_type_strings_rejected():
 def test_positive_root_counts_match_classical_formulas():
     for t, expected in POSITIVE_ROOT_COUNT.items():
         assert len(system(t).positive_roots) == expected, t
+
+
+def test_positive_roots_equal_the_tuple_closure():
+    for t in FULL_SWEEP + ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        assert rs.positive_roots == tuple_positive_roots(rs), t
+
+
+def test_lanes_read_back_packed_vectors_at_every_width():
+    # Both ends of each signed range, negative lanes between positive ones
+    # (a borrow into the lane above) and at the top lane (a negative int).
+    for width in (1, 2, 4):
+        low, high = -(1 << 8 * width - 1), (1 << 8 * width - 1) - 1
+        vectors = [(low, high), (high, low), (1, low, -1, high, 2), (3, 0, -1), (low,), (high,)]
+        for v in vectors:
+            assert list(_lanes([_pack(v, width)], len(v), width)) == list(v), (width, v)
+        packed = [_pack(v, width) for v in vectors[:2]]
+        assert list(_lanes(packed, 2, width)) == [low, high, high, low], width
 
 
 def test_simple_roots_come_first_and_heights_ascend():
@@ -167,18 +193,15 @@ def test_cartan_integer_accepts_negative_roots():
     assert cartan_integer(a2, (1, 0), (-1, -1)) == -1
 
 
-def test_cartan_integer_leaves_the_coroot_table_unbuilt():
-    # One pairing needs the coroot of one root, not the table of every root.
+def test_cartan_integer_on_a_fresh_system_equals_the_dense_coroot_pairing():
+    # One pairing computes the coroot of one root, on a system built afresh.
     for t in ["B4", "G2"]:
         rs = system(t)
         roots = rs.positive_roots + tuple(negate(r) for r in rs.positive_roots)
-        table = _coroots(rs)
-        expected = [_pair(x, table[a]) for a in roots for x in rs.positive_roots]
+        expected = [_pair(x, _expected_coroot(rs, a)) for a in roots for x in rs.positive_roots]
         fresh = build_root_system.__wrapped__(parse_type(t))
-        built = _coroots.cache_info().currsize
         got = [cartan_integer(fresh, x, a) for a in roots for x in fresh.positive_roots]
         assert got == expected, t
-        assert _coroots.cache_info().currsize == built, t
 
 
 def test_is_root_and_support():
@@ -384,11 +407,9 @@ def test_simple_cartan_rows_read_off_the_gram_matrix_equal_the_coroots():
             assert len(row) <= 4
 
 
-def test_coroot_table_matches_the_coroot_of_every_root():
+def test_coroot_of_every_root_and_its_negative_matches_the_dense_gram_form():
     for t in FULL_SWEEP:
         rs = system(t)
-        table = _coroots(rs)
-        assert len(table) == 2 * len(rs.positive_roots), t
         for r in rs.positive_roots:
-            assert table[r] == _expected_coroot(rs, r), (t, r)
-            assert table[negate(r)] == _expected_coroot(rs, negate(r)), (t, r)
+            assert _coroot(rs.gram2, r) == _expected_coroot(rs, r), (t, r)
+            assert _coroot(rs.gram2, negate(r)) == _expected_coroot(rs, negate(r)), (t, r)

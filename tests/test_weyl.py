@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
+from itertools import chain
 from math import prod
 from operator import mul
 
@@ -555,21 +556,42 @@ def test_labels_of_images_of_two_rho_are_coroot_pairings():
         assert largest == _largest_coroot_label(rs), t
 
 
+def _root_lane_range(rs) -> tuple[int, int, int, int]:
+    """The least and greatest Dynkin label <b, a_j-check> and coefficient of
+    the positive roots b.  The coefficients, non-negative, are laid out as
+    bytes, and coefficient k of every root is read as one int; row j of the
+    simple coroots combines those into the labels at node j, read back as
+    bytes with 128 added to each."""
+    n, count = rs.rank, len(rs.positive_roots)
+    data = bytes(chain.from_iterable(rs.positive_roots))
+    packed = [int.from_bytes(data[k::n], "little") for k in range(n)]
+    half = int.from_bytes(b"\x80" * count, "little")
+    rows = [sum(c * packed[k] for k, c in row) + half for row in rs.simple_coroots]
+    labels = set(b"".join(x.to_bytes(count, "little") for x in rows))
+    coefficients = set(data)
+    return min(labels) - 128, max(labels) - 128, min(coefficients), max(coefficients)
+
+
 def test_labels_fit_a_signed_16_bit_lane_on_every_supported_type():
     # count_reduced_words packs the labels in 16-bit lanes.  The largest
     # pairing is twice the height of the highest coroot, 2(h - 1) for the
-    # Coxeter number h = 2N / rank.
+    # Coxeter number h = 2N / rank.  The root enumeration packs each root's
+    # labels and coefficients in signed bytes.
     assert len(SUPPORTED) == 257
     largest = {}
+    bounds = []
     for t in SUPPORTED:
         rs = system(t)
         twice_n = 2 * len(rs.positive_roots)
         assert twice_n % rs.rank == 0, t
         largest[t] = _largest_coroot_label(rs)
         assert largest[t] == 2 * (twice_n // rs.rank - 1), t
+        bounds.append(_root_lane_range(rs))
     top = max(largest.values())
     assert top == 254 < 2**15
     assert [t for t, v in largest.items() if v == top] == ["B64", "C64"]
+    low, high, least, most = zip(*bounds)
+    assert (min(low), max(high), min(least), max(most)) == (-3, 3, 0, 6)
 
 
 def test_count_reduced_words_at_rank_64_equals_the_full_sweep():

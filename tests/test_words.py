@@ -27,9 +27,9 @@ from weyldecomp import (
     system,
     words,
 )
-from weyldecomp.rootsys import _coroots, _pair, _two_rho
+from weyldecomp.rootsys import _coroot, _pack, _pair, _sparse_columns, _two_rho
 
-from util import FULL_SWEEP, tuple_conjugation_suite
+from util import FULL_SWEEP, coroot_table, tuple_conjugation_suite
 
 
 def test_conjugated_root_fixtures():
@@ -168,7 +168,7 @@ def test_rank_one_reflection_equals_the_reflection_matrix():
         two_rho = _two_rho(rs)
         for r in rs.positive_roots:
             expected = apply_matrix(reflection_of(rs, r), two_rho)
-            assert words._reflect(two_rho, r, _coroots(rs)[r]) == expected, (t, r)
+            assert words._reflect(two_rho, r, _coroot(rs.gram2, r)) == expected, (t, r)
 
 
 def test_lambda_v_identity_examples():
@@ -317,7 +317,7 @@ def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
         if refused:
             with pytest.raises(TooLarge):
                 words._conjugation_suite(system(refused))
-        coroots = _coroots(rs)
+        coroots = coroot_table(rs)
         two_rho = _two_rho(rs)
         largest_root = max(max(map(abs, r)) for r in rs.positive_roots)
         largest_image = max(
@@ -336,9 +336,11 @@ def test_row_lanes_equal_the_pairings_at_the_largest_admitted_types():
     for t in ["A62", "B44", "C44", "D45", "E8"]:
         rs = system(t)
         roots = rs.positive_roots
-        coroots = _coroots(rs)
+        coroots = coroot_table(rs)
         dense = [[dict(coroots[b]).get(m, 0) for m in range(rs.rank)] for b in roots]
-        root_columns, coroot_columns = words._columns(roots), words._columns(dense)
+        root_columns = [_pack(column, 4) for column in zip(*roots)]
+        coroot_columns = _sparse_columns([coroots[b] for b in roots], rs.rank, 4)
+        assert coroot_columns == [_pack(column, 4) for column in zip(*dense)], t
         two_rho = _two_rho(rs)
         lowest = [0, 0]
         for a in (roots[0], roots[len(roots) // 2], roots[-1]):

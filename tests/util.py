@@ -31,11 +31,9 @@ from weyldecomp import (
 )
 from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
-    _ascents,
     _combination,
     _components,
     _coroot,
-    _coroots,
     _dot,
     _highest_by_support,
     _pair,
@@ -122,6 +120,34 @@ def brute_force_reduced_word_count(rs: RootSystem, m: Matrix, length: int) -> in
         if evaluate_word(rs, word) == m:
             hits += 1
     return hits
+
+
+def _ascents(coroots, x: Root):
+    """s_i(x) = x - <x, a_i-check> a_i for every simple root a_i with
+    <x, a_i-check> < 0, given the sparse simple Cartan rows: the simple
+    reflections that move x up, towards the dominant chamber."""
+    for i, row in enumerate(coroots):
+        k = _pair(x, row)
+        if k < 0:
+            yield x[:i] + (x[i] - k,) + x[i + 1 :]
+
+
+def tuple_positive_roots(rs: RootSystem) -> tuple[Root, ...]:
+    """Reference for the root enumeration: the closure of the simple roots
+    under ``_ascents``, on coefficient tuples, which the packed enumeration
+    replaced; by height, then lexicographically."""
+    coroots = _simple_coroots(rs.gram2)
+    new = set(identity_matrix(rs.rank))
+    roots = set(new)
+    while new:
+        new = {y for x in new for y in _ascents(coroots, x)} - roots
+        roots |= new
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def coroot_table(rs: RootSystem) -> dict[Root, tuple]:
+    """The coroot ``_coroot(rs.gram2, r)`` of every positive root r."""
+    return {r: _coroot(rs.gram2, r) for r in rs.positive_roots}
 
 
 def full_sweep_reduced_word_count(rs: RootSystem, m: Matrix) -> int:
@@ -303,7 +329,7 @@ def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
     """Bit j of entry i is set when pool roots i < j may share a decomposition:
     orthogonal, and comparable under dominance unless one is simple.  For
     highest roots of connected supports, comparable means nested supports."""
-    coroots = _coroots(rs)
+    coroots = coroot_table(rs)
     supports = [sum(1 << k for k, c in enumerate(r) if c) for r in pool]
 
     def compatible(i: int, j: int) -> bool:
@@ -445,7 +471,7 @@ def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     ``classify_conjugation`` names; returns (ok, pairs, named) at the first
     failure or the end."""
     roots = rs.positive_roots
-    coroots = _coroots(rs)
+    coroots = coroot_table(rs)
     two_rho = _two_rho(rs)
     moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
     gram_row = {r: _combination(rs.gram2, r) for r in roots}
