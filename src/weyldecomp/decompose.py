@@ -27,6 +27,8 @@ from .rootsys import (
     _coroot,
     _dot,
     _highest_by_support,
+    _pair,
+    _pairing2,
     dominance_leq,
     identity_matrix,
     is_root,
@@ -146,9 +148,8 @@ class VerificationReport(_Record):
 
 
 def _pairwise_orthogonal(rs: RootSystem, roots) -> bool:
-    return all(
-        pairing2(rs, x, y) == 0 for i, x in enumerate(roots) for y in roots[i + 1 :]
-    )
+    rows = [_coroot(rs.gram2, x) for x in roots]
+    return all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
 
 
 def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationReport:
@@ -392,8 +393,8 @@ def epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
     if rs.family not in ("B", "C"):
         raise WrongFamily(f"coordinate-frame factorization needs B or C, not {rs.type}")
     a_n = rs.simple_root(rs.rank)
-    frame = pairing2(rs, a_n, a_n)
-    return tuple(r for r in reversed(rs.positive_roots) if pairing2(rs, r, r) == frame)
+    frame = _pairing2(rs, a_n, a_n)
+    return tuple(r for r in reversed(rs.positive_roots) if _pairing2(rs, r, r) == frame)
 
 
 def dn_orthogonality_pattern(rs: RootSystem) -> bool:

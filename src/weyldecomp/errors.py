@@ -15,7 +15,7 @@ class InvalidType(WeylError):
 
 
 class DimensionMismatch(WeylError):
-    """Raised when vector or matrix dimensions do not match the expected rank."""
+    """Raised for a vector or matrix of the wrong size, or with an entry that is not an integer."""
 
 
 class NotARoot(WeylError):

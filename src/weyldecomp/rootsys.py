@@ -8,7 +8,10 @@ G2, B and F4 stay exact integers; no floats or rationals appear anywhere.
 Normalization per family (squared lengths): A/D/E roots 2; B long 2, short 1;
 C short 2, long 4; F4 long 2, short 1; G2 short 1, long 3.  Hence the doubled
 Gram matrix has diagonal 4 for every squared-length-2 root, 2 for
-squared-length-1, 8 for squared-length-4, and 6 for squared-length-3.
+squared-length-1, 8 for squared-length-4, and 6 for squared-length-3.  A
+bond's multiplicity is the ratio of the squared lengths at its two ends, so
+a Dynkin edge i - j has 2*(a_i, a_j) = -max(g_ii, g_jj)/2, minus the larger
+squared length.
 
 Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
 j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
@@ -175,49 +178,23 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def _gram2_for(t: RootSystemType) -> Matrix:
+    """The doubled Gram matrix from its diagonal and the Dynkin edges, by the
+    module docstring's bond rule.  Edges are 1-based: the chain 1 - 2 - .. - n,
+    with D's last edge moved to the fork and E's first two to the branch."""
     fam, n = t.family, t.rank
-    diag = [4] * n
-    edges: dict[tuple[int, int], int] = {}
-
-    def chain(upto: int, weight: int = -2) -> None:
-        for i in range(1, upto):
-            edges[(i, i + 1)] = weight
-
-    if fam == "A":
-        chain(n)
-    elif fam == "B":
-        chain(n)
-        diag[n - 1] = 2
-    elif fam == "C":
-        chain(n - 1)
-        edges[(n - 1, n)] = -4
-        diag[n - 1] = 8
-    elif fam == "D":
-        chain(n - 2)
-        edges[(n - 2, n - 1)] = -2
-        edges[(n - 2, n)] = -2
+    last = {"B": 2, "C": 8}.get(fam, 4)
+    diag = {"F": [4, 4, 2, 2], "G": [2, 6]}.get(fam, [4] * (n - 1) + [last])
+    edges = [(i, i + 1) for i in range(1, n)]
+    if fam == "D":
+        edges[-1] = (n - 2, n)
     elif fam == "E":
-        edges[(1, 3)] = -2
-        edges[(2, 4)] = -2
-        for i in range(3, n):
-            edges[(i, i + 1)] = -2
-    elif fam == "F":
-        edges[(1, 2)] = -2
-        edges[(2, 3)] = -2
-        edges[(3, 4)] = -1
-        diag = [4, 4, 2, 2]
-    elif fam == "G":
-        edges[(1, 2)] = -3
-        diag = [2, 6]
-
+        edges[:2] = [(1, 3), (2, 4)]
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = diag[i]
-    for (i, j), w in edges.items():
-        g[i - 1][j - 1] = w
-        g[j - 1][i - 1] = w
-    return tuple(tuple(row) for row in g)
-
+    for i, j in edges:
+        g[i - 1][j - 1] = g[j - 1][i - 1] = -max(diag[i - 1], diag[j - 1]) // 2
+    return tuple(map(tuple, g))
 
 
 def _combination(vectors, a: Root) -> Root:
@@ -256,6 +233,15 @@ def _pair(x: Root, row: SparseRow) -> int:
     for j, c in row:
         k += x[j] * c
     return k
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, taken through ``index``; DimensionMismatch
+    names ``what`` when an entry is not an integer."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DimensionMismatch(f"{what} {values!r} has an entry that is not an integer") from None
 
 
 def _dot(x: Root, y: Root) -> int:
@@ -371,20 +357,25 @@ def is_root(rs: RootSystem, x: Root) -> bool:
 
 def support(x: Root) -> tuple[int, ...]:
     """The 1-based indices of the nonzero coefficients of x, ascending."""
-    return tuple(compress(range(1, len(x) + 1), x))
+    return tuple(compress(range(1, len(x) + 1), _integers(x, "vector")))
 
 
 def height(x: Root) -> int:
-    return sum(x)
+    return sum(_integers(x, "vector"))
 
 
 def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
-    """The doubled inner product 2*(x, y); exact for all lattice vectors.
-    Gram row i is gram2[i][i] / 2 times the sparse coroot row of a_i."""
+    """The doubled inner product 2*(x, y); exact for all lattice vectors."""
     if len(x) != rs.rank or len(y) != rs.rank:
         raise DimensionMismatch(
             f"vectors of length {len(x)} and {len(y)} in a rank-{rs.rank} system"
         )
+    return _pairing2(rs, _integers(x, "vector"), _integers(y, "vector"))
+
+
+def _pairing2(rs: RootSystem, x: Root, y: Root) -> int:
+    """``pairing2`` on checked integer vectors.  Gram row i is gram2[i][i] / 2
+    times the sparse coroot row of a_i."""
     rows, g = rs.simple_coroots, rs.gram2
     return sum(x[i] * (g[i][i] // 2) * _pair(y, rows[i]) for i in compress(range(len(x)), x))
 
@@ -457,13 +448,15 @@ def _highest_by_support(rs: RootSystem) -> dict[tuple[int, ...], Root]:
     computed once per system: every root has a connected support, and the
     highest root of a connected parabolic has full support, so it is the
     last root listed with it."""
-    return {support(r): r for r in rs.positive_roots}
+    nodes = range(1, rs.rank + 1)
+    return {tuple(compress(nodes, r)): r for r in rs.positive_roots}
 
 
 def dominance_leq(x: Root, y: Root) -> bool:
     """Componentwise partial order: True iff every coefficient of y - x is >= 0."""
     if len(x) != len(y):
         raise DimensionMismatch(f"vectors of length {len(x)} and {len(y)}")
+    x, y = _integers(x, "vector"), _integers(y, "vector")
     return all(yc - xc >= 0 for xc, yc in zip(x, y))
 
 
@@ -533,7 +526,7 @@ def parabolic_embedding(rs: RootSystem, J) -> tuple[RootSystem, dict[int, int]]:
 def format_root(x: Root) -> str:
     """Human-readable rendering, e.g. (0,1,2,0) -> ``"a2+2a3"``."""
     parts: list[str] = []
-    for i, c in enumerate(x, start=1):
+    for i, c in enumerate(_integers(x, "root"), start=1):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -31,24 +31,16 @@ from .rootsys import (
     _Record,
     _coroot,
     _dot,
+    _integers,
     _lanes,
     _pack,
     _pair,
+    _pairing2,
     _sparse_columns,
     _two_rho,
     _units,
     is_root,
-    pairing2,
 )
-
-
-def _integers(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints, taken through ``index``; DimensionMismatch
-    names ``what`` when an entry is not an integer."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise DimensionMismatch(f"{what} {values!r} has an entry that is not an integer") from None
 
 
 def apply_matrix(m: Matrix, x: Root) -> Root:
@@ -64,11 +56,13 @@ def apply_matrix(m: Matrix, x: Root) -> Root:
 
 
 def compose(u: Matrix, v: Matrix) -> Matrix:
-    """The product u.v, i.e. apply v first and then u."""
+    """The product u.v, i.e. apply v first and then u.  Every entry must be
+    an integer, or DimensionMismatch is raised."""
     n = len(u)
     if len(v) != n:
         raise DimensionMismatch(f"composing {n}x{n} with {len(v)}x{len(v)}")
-    cols = list(zip(*v))
+    u = [_integers(row, "matrix row") for row in u]
+    cols = list(zip(*(_integers(row, "matrix row") for row in v)))
     return tuple(
         tuple(sum(row[k] * col[k] for k in range(n)) for col in cols) for row in u
     )
@@ -300,5 +294,5 @@ def preserves_form(rs: RootSystem, m: Matrix) -> bool:
     as the matrix walks check it, with DimensionMismatch."""
     images = list(zip(*_check_shape(rs, m)))
     return all(
-        pairing2(rs, x, y) == g for x, row in zip(images, rs.gram2) for y, g in zip(images, row)
+        _pairing2(rs, x, y) == g for x, row in zip(images, rs.gram2) for y, g in zip(images, row)
     )

@@ -1,6 +1,8 @@
 """Root-system construction, pairings, parabolic subsystems, dominance."""
 from __future__ import annotations
 
+from operator import mul
+
 import pytest
 
 from weyldecomp import (
@@ -38,6 +40,7 @@ from weyldecomp.rootsys import (
 from util import (
     FULL_SWEEP,
     POSITIVE_ROOT_COUNT,
+    SUPPORTED,
     dense_pairing2,
     exhaustive_diagram_bijection,
     tuple_positive_roots,
@@ -143,6 +146,57 @@ def test_d3_is_the_relabelled_three_chain():
     g = rs.gram2
     assert g[0][1] == g[0][2] == -2
     assert g[1][2] == 0
+
+
+def _epsilon_simple_roots(fam: str, n: int) -> list[tuple[int, ...]]:
+    """Bourbaki's simple roots in epsilon-coordinates (Lie Groups and Lie
+    Algebras, Ch. VI, Plates I-IX), those of E8 and F4 doubled so that every
+    entry is an integer.  E6 and E7 are the first six and seven roots of E8."""
+
+    def vector(dim: int, *entries: tuple[int, int]) -> tuple[int, ...]:
+        v = [0] * dim
+        for i, c in entries:
+            v[i - 1] += c
+        return tuple(v)
+
+    if fam in "ABCD":
+        dim = n + 1 if fam == "A" else n
+        last = {
+            "A": [(n, 1), (n + 1, -1)],
+            "B": [(n, 1)],
+            "C": [(n, 2)],
+            "D": [(n - 1, 1), (n, 1)],
+        }[fam]
+        return [vector(dim, (i, 1), (i + 1, -1)) for i in range(1, n)] + [vector(dim, *last)]
+    if fam == "E":
+        e8 = [(1, -1, -1, -1, -1, -1, -1, 1), vector(8, (1, 2), (2, 2))]
+        return (e8 + [vector(8, (i - 1, -2), (i, 2)) for i in range(2, 8)])[:n]
+    if fam == "F":
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    return [(1, -1, 0), (-2, 1, 1)]
+
+
+# The squared length of the longest simple root in the module docstring's
+# normalization: C long 4, G2 long 3, and 2 for every other family.
+_LONGEST_SQUARE = {"A": 2, "B": 2, "C": 4, "D": 2, "E": 2, "F": 2, "G": 3}
+
+
+def test_gram_matrices_equal_the_epsilon_coordinate_dot_products():
+    # Scaling the dot products so that the longest simple root has its
+    # squared length fixes every entry, 2*(a_i, a_j), as an exact integer.
+    assert len(SUPPORTED) == 257
+    for t in SUPPORTED:
+        roots = _epsilon_simple_roots(t[0], int(t[1:]))
+        longest = max(sum(map(mul, a, a)) for a in roots)
+        gram2 = []
+        for a in roots:
+            row = []
+            for b in roots:
+                entry, rem = divmod(2 * _LONGEST_SQUARE[t[0]] * sum(map(mul, a, b)), longest)
+                assert rem == 0, (t, a, b)
+                row.append(entry)
+            gram2.append(tuple(row))
+        assert system(t).gram2 == tuple(gram2), t
 
 
 def test_pairing_fixtures():
@@ -382,6 +436,43 @@ def test_format_root():
     assert format_root((1, 0)) == "a1"
     assert format_root((-1, -2)) == "-a1-2a2"
     assert format_root((0, 0)) == "0"
+
+
+def test_pairing_refuses_entries_that_are_not_integers():
+    a3 = system("A3")
+    for x, y in [((0.5, 0, 0), (1, 0, 0)), ((1, 0, 0), (0, 0.5, 0)), ((1, 0, 0), "abc")]:
+        with pytest.raises(DimensionMismatch):
+            pairing2(a3, x, y)
+    assert pairing2(a3, [True, 0, 0], [1, False, 0]) == pairing2(a3, (1, 0, 0), (1, 0, 0)) == 4
+
+
+def test_dominance_refuses_entries_that_are_not_integers():
+    for x, y in [((0.5,), (1,)), ((0,), (0.5,)), ((1, 0), "ab")]:
+        with pytest.raises(DimensionMismatch):
+            dominance_leq(x, y)
+    assert dominance_leq([0, True], (1, 1))
+    assert not dominance_leq((1, 1), [True, False])
+
+
+def test_height_refuses_entries_that_are_not_integers():
+    for x in [(0.5, 0, 0), "abc"]:
+        with pytest.raises(DimensionMismatch):
+            height(x)
+    assert height([1, True, 2]) == 4
+
+
+def test_format_root_refuses_entries_that_are_not_integers():
+    for x in [(0.5, 1, 2), "abc"]:
+        with pytest.raises(DimensionMismatch):
+            format_root(x)
+    assert format_root([True, 0, -2]) == "a1-2a3"
+
+
+def test_support_refuses_entries_that_are_not_integers():
+    for x in ["abc", (0.5, 1, 0)]:
+        with pytest.raises(DimensionMismatch):
+            support(x)
+    assert support([True, 0, 2]) == (1, 3)
 
 
 def test_root_system_instances_are_shared():

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import chain
 from math import prod
 from operator import mul
 
@@ -41,6 +40,7 @@ from weyldecomp.weyl import _group_order, reflection_product
 from util import (
     FULL_SWEEP,
     GROUP_ORDER,
+    SUPPORTED,
     brute_force_reduced_word_count,
     degrees,
     full_sweep_reduced_word_count,
@@ -100,6 +100,17 @@ def test_compose_applies_right_factor_first():
     assert apply_matrix(m, (0, 1)) == apply_matrix(s1, apply_matrix(s2, (0, 1)))
     with pytest.raises(DimensionMismatch):
         compose(s1, identity_matrix(3))
+
+
+def test_compose_refuses_entries_that_are_not_integers():
+    a2 = system("A2")
+    s1 = simple_reflection(a2, 1)
+    for bad in [((1.0, 0), (0, 1)), ((1, 0), (0, 0.5)), ("ab", (0, 1))]:
+        with pytest.raises(DimensionMismatch):
+            compose(bad, s1)
+        with pytest.raises(DimensionMismatch):
+            compose(s1, bad)
+    assert compose([list(row) for row in s1], [[True, False], [0, 1]]) == s1
 
 
 def test_evaluate_word_is_right_to_left():
@@ -524,20 +535,35 @@ def test_two_rho_does_not_separate_diagram_automorphisms():
     assert apply_matrix(minus_identity, two_rho) == apply_matrix(w0, two_rho) == (-2, -2)
 
 
-SUPPORTED = (
-    [f"A{n}" for n in range(1, 65)]
-    + [f"{fam}{n}" for fam in "BC" for n in range(2, 65)]
-    + [f"D{n}" for n in range(3, 65)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
+def _packed_label_pass(rs) -> tuple[bytes, bytes]:
+    """The coefficients and the Dynkin labels <b, a_j-check> of the positive
+    roots b, as bytes: the coefficients, non-negative, root after root, and
+    the labels with 128 added to each, node after node, each node's labels in
+    root order.  Coefficient k of every root is read as one int, and row j of
+    the simple coroots combines those into the labels at node j."""
+    n, count = rs.rank, len(rs.positive_roots)
+    data = b"".join(map(bytes, rs.positive_roots))
+    packed = [int.from_bytes(data[k::n], "little") for k in range(n)]
+    half = int.from_bytes(b"\x80" * count, "little")
+    rows = [sum(c * packed[k] for k, c in row) + half for row in rs.simple_coroots]
+    return data, b"".join(x.to_bytes(count, "little") for x in rows)
 
 
-def _largest_coroot_label(rs) -> int:
+def _largest_coroot_label(rs, labels: bytes) -> int:
     """The largest <2 rho, b-check> = 2 (2 rho, b) / (b, b) over positive roots
-    b.  <2 rho, a_j-check> = 2 gives (2 rho, a_j) = (a_j, a_j), so with the
-    doubled Gram matrix 2 (2 rho, b) = sum_j b_j gram2[j][j]."""
-    diag = [row[j] for j, row in enumerate(rs.gram2)]
-    return max(2 * sum(map(mul, b, diag)) // pairing2(rs, b, b) for b in rs.positive_roots)
+    b, given the labels of ``_packed_label_pass``.  <2 rho, a_j-check> = 2
+    gives (2 rho, a_j) = (a_j, a_j), so with the doubled Gram matrix and
+    w_j = b_j gram2[j][j] / 2, 2 (2 rho, b) = 2 sum_j w_j, and
+    2 (b, b) = sum_j w_j <b, a_j-check>: the labels as read, 128 too large,
+    give sum_j w_j p_j - 128 sum_j w_j."""
+    half = [row[j] // 2 for j, row in enumerate(rs.gram2)]
+    count = len(rs.positive_roots)
+    largest = 0
+    for k, b in enumerate(rs.positive_roots):
+        w = list(map(mul, b, half))
+        total = sum(w)
+        largest = max(largest, 4 * total // (sum(map(mul, w, labels[k::count])) - 128 * total))
+    return largest
 
 
 def test_labels_of_images_of_two_rho_are_coroot_pairings():
@@ -553,23 +579,7 @@ def test_labels_of_images_of_two_rho_are_coroot_pairings():
             for u in generate_group(rs)
             for a in simple
         )
-        assert largest == _largest_coroot_label(rs), t
-
-
-def _root_lane_range(rs) -> tuple[int, int, int, int]:
-    """The least and greatest Dynkin label <b, a_j-check> and coefficient of
-    the positive roots b.  The coefficients, non-negative, are laid out as
-    bytes, and coefficient k of every root is read as one int; row j of the
-    simple coroots combines those into the labels at node j, read back as
-    bytes with 128 added to each."""
-    n, count = rs.rank, len(rs.positive_roots)
-    data = bytes(chain.from_iterable(rs.positive_roots))
-    packed = [int.from_bytes(data[k::n], "little") for k in range(n)]
-    half = int.from_bytes(b"\x80" * count, "little")
-    rows = [sum(c * packed[k] for k, c in row) + half for row in rs.simple_coroots]
-    labels = set(b"".join(x.to_bytes(count, "little") for x in rows))
-    coefficients = set(data)
-    return min(labels) - 128, max(labels) - 128, min(coefficients), max(coefficients)
+        assert largest == _largest_coroot_label(rs, _packed_label_pass(rs)[1]), t
 
 
 def test_labels_fit_a_signed_16_bit_lane_on_every_supported_type():
@@ -584,9 +594,10 @@ def test_labels_fit_a_signed_16_bit_lane_on_every_supported_type():
         rs = system(t)
         twice_n = 2 * len(rs.positive_roots)
         assert twice_n % rs.rank == 0, t
-        largest[t] = _largest_coroot_label(rs)
+        data, labels = _packed_label_pass(rs)
+        largest[t] = _largest_coroot_label(rs, labels)
         assert largest[t] == 2 * (twice_n // rs.rank - 1), t
-        bounds.append(_root_lane_range(rs))
+        bounds.append((min(labels) - 128, max(labels) - 128, min(data), max(data)))
     top = max(largest.values())
     assert top == 254 < 2**15
     assert [t for t, v in largest.items() if v == top] == ["B64", "C64"]

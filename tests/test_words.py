@@ -303,6 +303,19 @@ def test_packed_sweep_equals_the_tuple_sweep():
         assert words._conjugation_suite(rs) == tuple_conjugation_suite(rs), t
 
 
+def test_conjugated_root_is_the_reflected_target_on_every_swept_pair():
+    # The pairs of test_packed_sweep_equals_the_tuple_sweep, whose reference
+    # reflects b by a from its own coroot table.
+    for t in FULL_SWEEP + ["A20", "D16"]:
+        rs = system(t)
+        coroots = coroot_table(rs)
+        for a in rs.positive_roots:
+            for b in rs.positive_roots:
+                if a != b:
+                    expected = positive_representative(rs, words._reflect(b, a, coroots[a]))
+                    assert conjugated_root(rs, a, b) == expected, (t, a, b)
+
+
 def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
     """Every root, every image of 2 rho and every k1*b and k2*a term of the
     sweep has entries in (-2**31, 2**31) on the largest admitted type of each

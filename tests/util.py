@@ -46,7 +46,7 @@ from weyldecomp.weyl import reflection_product
 from weyldecomp.words import (
     _reflect,
     classify_conjugation,
-    conjugated_root,
+    positive_representative,
     predicted_conjugate,
 )
 
@@ -56,6 +56,14 @@ FULL_SWEEP = (
     + [f"B{n}" for n in range(2, 9)]
     + [f"C{n}" for n in range(2, 9)]
     + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+# Every type build_root_system accepts, 257 in all: ranks up to 64.
+SUPPORTED = (
+    [f"A{n}" for n in range(1, 65)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 65)]
+    + [f"D{n}" for n in range(3, 65)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 
@@ -465,9 +473,10 @@ def formula_epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
 def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Reference for ``words._conjugation_suite``, with no pair bound: the
     sweep on tuple roots, which the packed-integer sweep replaced.  Each
-    ordered pair of distinct positive roots takes ``conjugated_root``, the
-    literal s_a(s_b(s_a(2 rho))) by two rank-one reflections against the
-    conjugate's image of 2 rho, and ``predicted_conjugate`` for a case
+    ordered pair of distinct positive roots takes the conjugate s_a(b), up to
+    sign, by the coroot of a from its own table, the literal
+    s_a(s_b(s_a(2 rho))) by two rank-one reflections against the conjugate's
+    image of 2 rho, and ``predicted_conjugate`` for a case
     ``classify_conjugation`` names; returns (ok, pairs, named) at the first
     failure or the end."""
     roots = rs.positive_roots
@@ -483,7 +492,7 @@ def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
             if a == b:
                 continue
             pairs += 1
-            conj = conjugated_root(rs, a, b)
+            conj = positive_representative(rs, _reflect(b, a, a_coroot))
             literal = _reflect(_reflect(a_moved, b, coroots[b]), a, a_coroot)
             if moved[conj] != literal:
                 return False, pairs, named
