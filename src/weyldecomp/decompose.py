@@ -27,17 +27,18 @@ from .rootsys import (
     _coroot,
     _dot,
     _highest_by_support,
+    _integers,
     _pair,
     _pairing2,
+    _root,
     dominance_leq,
     identity_matrix,
-    is_root,
-    pairing2,
     support,
 )
 from .weyl import (
     Matrix,
     _greedy_walk,
+    _reflection_product,
     classify_longest,
     longest_element,
     reflection_product,
@@ -81,12 +82,11 @@ def _factor_for(root: Root) -> DecompositionFactor:
 
 def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
     """Wrap explicit root vectors as a Decomposition (tagging each factor)."""
-    checked = []
-    for r in roots:
+    checked = [_integers(r, "root") for r in roots]
+    for r in checked:
         if r not in rs.root_index:
             raise NotARoot(f"{r} is not a positive root of {rs.type}")
-        checked.append(_factor_for(r))
-    return Decomposition(system=rs, factors=tuple(checked))
+    return Decomposition(system=rs, factors=tuple(map(_factor_for, checked)))
 
 
 def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
@@ -164,11 +164,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     count_ok: there are at most rank-many factors (pairwise orthogonal roots
         are linearly independent, so more can never occur in a valid set).
     """
-    roots = dec.roots
-    for r in roots:
-        if not is_root(rs, r):
-            raise NotARoot(f"{r} is not a root of {rs.type}")
-
+    roots = [_root(rs, r) for r in dec.roots]
     orthogonal = _pairwise_orthogonal(rs, roots)
 
     top = _highest_by_support(rs)
@@ -181,7 +177,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
         for y in non_simple[i + 1 :]
     )
 
-    product_is_w0 = dec.product() == longest_element(rs)
+    product_is_w0 = _reflection_product(rs, roots) == longest_element(rs)
     count_ok = len(roots) <= rs.rank
     return VerificationReport(
         orthogonal=orthogonal,
@@ -333,7 +329,7 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     inner = [simple[i - 1] for i in _greedy_walk(rs, [1] * rs.rank, J)]
     top = _highest_by_support(rs)
     tail = [theta] + [top[K] for K in perp if K != J]
-    return reflection_product(rs, inner + tail) == longest_element(rs)
+    return _reflection_product(rs, inner + tail) == longest_element(rs)
 
 
 class ParabolicTower(_Record):
@@ -408,7 +404,7 @@ def dn_orthogonality_pattern(rs: RootSystem) -> bool:
         raise WrongFamily(f"pattern is defined for D with rank >= 4, not {rs.type}")
     chains = [f.root for f in canonical_decomposition(rs).factors if f.kind == "highest"]
     for i in range(1, rs.rank - 2):
-        hits = sum(1 for r in chains if pairing2(rs, rs.simple_root(i), r) != 0)
+        hits = sum(1 for r in chains if _pairing2(rs, rs.simple_root(i), r) != 0)
         expected = 2 if i % 2 == 0 else 0
         if hits != expected:
             return False
@@ -421,4 +417,4 @@ def _frame_suite(rs: RootSystem) -> bool:
     roots = epsilon_factorization(rs)
     if not _pairwise_orthogonal(rs, roots):
         return False
-    return reflection_product(rs, roots) == longest_element(rs)
+    return _reflection_product(rs, roots) == longest_element(rs)

@@ -13,6 +13,11 @@ bond's multiplicity is the ratio of the squared lengths at its two ends, so
 a Dynkin edge i - j has 2*(a_i, a_j) = -max(g_ii, g_jj)/2, minus the larger
 squared length.
 
+Inputs are read once, where a public function receives them: a list is read
+as its tuple, an entry that is not an integer (a float or a str; a bool counts
+as 0 or 1) raises DimensionMismatch, and a vector that must be a root and is
+not raises NotARoot.
+
 Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
 j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
 vectors is one int operation, and one to one on entries in a lane's signed
@@ -350,9 +355,23 @@ def negate(x: Root) -> Root:
     return tuple(-c for c in x)
 
 
+def _root(rs: RootSystem, x) -> Root:
+    """x as a tuple of ints, read by ``_integers``; NotARoot unless x or -x
+    is a positive root of rs."""
+    x = _integers(x, "root")
+    if x not in rs.root_index and negate(x) not in rs.root_index:
+        raise NotARoot(f"{x} is not a root of {rs.type}")
+    return x
+
+
 def is_root(rs: RootSystem, x: Root) -> bool:
-    """True iff x is a root (positive or negative) of rs."""
-    return x in rs.root_index or negate(x) in rs.root_index
+    """True iff x is a root (positive or negative) of rs.  An entry that is
+    not an integer raises DimensionMismatch."""
+    try:
+        _root(rs, x)
+    except NotARoot:
+        return False
+    return True
 
 
 def support(x: Root) -> tuple[int, ...]:
@@ -388,8 +407,7 @@ def _two_rho(rs: RootSystem) -> Root:
 
 def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
     """The integer 2*(a, x)/(a, a) for a root ``a`` and lattice vector ``x``."""
-    if not is_root(rs, a):
-        raise NotARoot(f"{a} is not a root of {rs.type}")
+    a, x = _root(rs, a), _integers(x, "vector")
     if len(x) != rs.rank:
         raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
     return _pair(x, _coroot(rs.gram2, a))
@@ -413,22 +431,29 @@ def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
     return components
 
 
-def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
-    """True iff the given simple-root indices span a connected subdiagram."""
-    return len(_components(rs, indices)) == 1
-
-
-def _connected_index_set(rs: RootSystem, J) -> tuple[int, ...]:
+def _index_set(rs: RootSystem, J) -> tuple[int, ...]:
+    """J's distinct entries, ascending, taken through ``index``;
+    DisconnectedSubset unless each is an integer in 1..rank."""
     try:
         indices = tuple(sorted({index(i) for i in J}))
     except TypeError:
         raise DisconnectedSubset(f"index set {J!r} is not a set of integers") from None
-    if not indices or any(not 1 <= i <= rs.rank for i in indices):
-        raise DisconnectedSubset(
-            f"index set {list(indices)} is not a non-empty subset of 1..{rs.rank}"
-        )
-    if not is_connected(rs, indices):
-        raise DisconnectedSubset(f"index set {list(indices)} is disconnected in {rs.type}")
+    if any(not 1 <= i <= rs.rank for i in indices):
+        raise DisconnectedSubset(f"index set {list(indices)} is not a subset of 1..{rs.rank}")
+    return indices
+
+
+def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
+    """True iff the given simple-root indices span a connected subdiagram;
+    the empty set does not.  An index that is not an integer in 1..rank
+    raises DisconnectedSubset."""
+    return len(_components(rs, _index_set(rs, indices))) == 1
+
+
+def _connected_index_set(rs: RootSystem, J) -> tuple[int, ...]:
+    indices = _index_set(rs, J)
+    if not is_connected(rs, indices):  # the empty set included
+        raise DisconnectedSubset(f"index set {list(indices)} is not connected in {rs.type}")
     return indices
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import index, mul
 
-from .errors import BadLetter, DimensionMismatch, NotARoot, TooLarge
+from .errors import BadLetter, DimensionMismatch, TooLarge
 from .rootsys import (
     Matrix,
     Root,
@@ -36,36 +36,35 @@ from .rootsys import (
     _pack,
     _pair,
     _pairing2,
+    _root,
     _sparse_columns,
     _two_rho,
     _units,
-    is_root,
 )
+
+
+def _check_shape(n: int, m: Matrix) -> Matrix:
+    """m as a tuple of int rows; DimensionMismatch unless it is n x n, of
+    integer entries (taken through ``index``)."""
+    rows = tuple(_integers(row, "matrix row") for row in m)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DimensionMismatch(f"rows of lengths {[*map(len, rows)]} where {n}x{n} is needed")
+    return rows
 
 
 def apply_matrix(m: Matrix, x: Root) -> Root:
     """Apply m to a coefficient vector (columns are images of simple roots).
-    Every entry of m and x must be an integer, or DimensionMismatch is raised."""
-    if len(x) != len(m):
-        raise DimensionMismatch(f"vector of length {len(x)} under a {len(m)}x{len(m)} matrix")
-    for row in m:
-        if len(row) != len(x):
-            raise DimensionMismatch(f"vector of length {len(x)} under a row of length {len(row)}")
+    m must be square of x's size, with integer entries, or DimensionMismatch."""
     x = _integers(x, "vector")
-    return tuple(_dot(_integers(row, "matrix row"), x) for row in m)
+    return tuple(_dot(row, x) for row in _check_shape(len(x), m))
 
 
 def compose(u: Matrix, v: Matrix) -> Matrix:
-    """The product u.v, i.e. apply v first and then u.  Every entry must be
-    an integer, or DimensionMismatch is raised."""
+    """The product u.v, i.e. apply v first and then u.  Both must be square
+    of one size with integer entries, or DimensionMismatch is raised."""
     n = len(u)
-    if len(v) != n:
-        raise DimensionMismatch(f"composing {n}x{n} with {len(v)}x{len(v)}")
-    u = [_integers(row, "matrix row") for row in u]
-    cols = list(zip(*(_integers(row, "matrix row") for row in v)))
-    return tuple(
-        tuple(sum(row[k] * col[k] for k in range(n)) for col in cols) for row in u
-    )
+    u, cols = _check_shape(n, u), list(zip(*_check_shape(n, v)))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in u)
 
 
 def _unpack(cols: list[int]) -> Matrix:
@@ -78,10 +77,13 @@ def _unpack(cols: list[int]) -> Matrix:
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
+    return _reflection_product(rs, [_root(rs, r) for r in roots])
+
+
+def _reflection_product(rs: RootSystem, roots) -> Matrix:
+    """``reflection_product`` on int-tuple roots of rs, for callers that built them."""
     cols = _units(rs.rank, 1)
     for r in roots:
-        if not is_root(rs, r):
-            raise NotARoot(f"{r} is not a root of {rs.type}")
         if sum(r) == 1:
             i = r.index(1)
             v, row = cols[i], rs.simple_coroots[i]
@@ -137,22 +139,6 @@ def _greedy_walk(rs: RootSystem, heights: list[int], letters=None) -> list[int]:
     return word
 
 
-def _check_shape(rs: RootSystem, m: Matrix) -> Matrix:
-    """m as a tuple of int rows; DimensionMismatch unless it has rank-many rows,
-    each of that length and of integer entries (taken through ``index``)."""
-    if len(m) != rs.rank:
-        raise DimensionMismatch(f"{len(m)}x{len(m)} matrix in a rank-{rs.rank} system")
-    rows = []
-    for row in m:
-        if len(row) != rs.rank:
-            raise DimensionMismatch(
-                f"{len(m)}-row matrix with a row of length {len(row)} "
-                f"in a rank-{rs.rank} system"
-            )
-        rows.append(_integers(row, "matrix row"))
-    return tuple(rows)
-
-
 def length_of(rs: RootSystem, m: Matrix) -> int:
     """Coxeter length: the length of a reduced word for m, which is the number
     of positive roots m sends to negative roots.  A matrix outside W, even one
@@ -162,7 +148,7 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
     """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
-    columns, zero = list(zip(*_check_shape(rs, m))), (0,) * rs.rank
+    columns, zero = list(zip(*_check_shape(rs.rank, m))), (0,) * rs.rank
     if zero in columns:
         raise ValueError("matrix is not a Weyl group element")
     return [i for i, col in enumerate(columns, 1) if col < zero]
@@ -211,7 +197,7 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     """A canonical reduced word for m: repeatedly strip the smallest descent,
     read from m's negated column heights; a matrix outside W fails to evaluate
     back to m."""
-    m = _check_shape(rs, m)
+    m = _check_shape(rs.rank, m)
     word = tuple(reversed(_greedy_walk(rs, [-sum(col) for col in zip(*m)])))
     if evaluate_word(rs, word) != m:
         raise ValueError("matrix is not a Weyl group element")
@@ -256,7 +242,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     is the layer after j steps.  Every element lies below w0, so for w0 an
     order above the bound is refused at once.
     """
-    m = _check_shape(rs, m)
+    m = _check_shape(rs.rank, m)
     longest = m == longest_element(rs)
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(
@@ -292,7 +278,7 @@ def preserves_form(rs: RootSystem, m: Matrix) -> bool:
     """True iff m preserves the doubled Gram pairing (is an orthogonal map):
     the images of the simple roots pair as the Gram matrix says.  m is checked
     as the matrix walks check it, with DimensionMismatch."""
-    images = list(zip(*_check_shape(rs, m)))
+    images = list(zip(*_check_shape(rs.rank, m)))
     return all(
         _pairing2(rs, x, y) == g for x, row in zip(images, rs.gram2) for y, g in zip(images, row)
     )

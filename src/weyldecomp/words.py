@@ -41,25 +41,21 @@ from .rootsys import (
     _lanes,
     _pack,
     _pair,
+    _pairing2,
+    _root,
     _sparse_columns,
     _sub_multiple,
     _two_rho,
     identity_matrix,
-    is_root,
     negate,
-    pairing2,
 )
-from .weyl import evaluate_word, reflection_of, reflection_product
+from .weyl import _reflection_product, evaluate_word, reflection_of, reflection_product
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
     """The positive root among x and -x."""
-    if x in rs.root_index:
-        return x
-    neg = negate(x)
-    if neg in rs.root_index:
-        return neg
-    raise NotARoot(f"{x} is not a root of {rs.type}")
+    x = _root(rs, x)
+    return x if x in rs.root_index else negate(x)
 
 
 def _reflect(x: Root, r: Root, coroot: SparseRow) -> Root:
@@ -70,9 +66,7 @@ def _reflect(x: Root, r: Root, coroot: SparseRow) -> Root:
 
 def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     """The positive root r with s_delta . s_tau . s_delta == s_r."""
-    for x in (delta, tau):
-        if not is_root(rs, x):
-            raise NotARoot(f"{x} is not a root of {rs.type}")
+    delta, tau = _root(rs, delta), _root(rs, tau)
     return positive_representative(rs, _reflect(tau, delta, _coroot(rs.gram2, delta)))
 
 
@@ -112,15 +106,13 @@ def classify_conjugation(rs: RootSystem, a: Root, b: Root) -> ConjugationCase | 
     Proportional or orthogonal pairs are rejected with exceptions since no
     conjugation pattern is defined for them at all.
     """
-    for x in (a, b):
-        if not is_root(rs, x):
-            raise NotARoot(f"{x} is not a root of {rs.type}")
+    a, b = _root(rs, a), _root(rs, b)
     if b == a or b == negate(a):
         raise Proportional(f"{a} and {b} are proportional")
-    p_ab = pairing2(rs, a, b)
+    p_ab = _pairing2(rs, a, b)
     if p_ab == 0:
         raise Orthogonal(f"{a} and {b} are orthogonal")
-    entry = _CASE_TABLE.get((pairing2(rs, a, a), pairing2(rs, b, b), abs(p_ab)))
+    entry = _CASE_TABLE.get((_pairing2(rs, a, a), _pairing2(rs, b, b), abs(p_ab)))
     if entry is None:
         return None
     return ConjugationCase(entry[0], "Minus" if p_ab < 0 else "Plus", entry[1])
@@ -178,7 +170,7 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     simple = identity_matrix(rs.rank)
     left = [_interval_root(rs, k, n - 1), *simple[k - 1 : n][::-1]]
     right = [*simple[k : n - 1][::-1], _interval_root(rs, k, n)]
-    return reflection_product(rs, left) == reflection_product(rs, right)
+    return _reflection_product(rs, left) == _reflection_product(rs, right)
 
 
 def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
@@ -224,7 +216,7 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     image = [_pack(y, 4) for y in moved]
     packed = [_pack(r, 4) for r in roots]
     positions = {s * p: i for i, p in enumerate(packed) for s in (1, -1)}
-    norm = [pairing2(rs, r, r) for r in roots]
+    norm = [_pairing2(rs, r, r) for r in roots]
     root_columns = [_pack(column, 4) for column in zip(*roots)]
     coroot_columns = _sparse_columns(coroots, rs.rank, 4)
     pairs = named = 0

@@ -5,6 +5,7 @@ import pytest
 
 import weyldecomp.decompose as decompose
 from weyldecomp import (
+    DimensionMismatch,
     NoRelation,
     NotARoot,
     TooLarge,
@@ -252,6 +253,20 @@ def test_verify_rejects_non_roots():
     rs = system("A2")
     with pytest.raises(NotARoot):
         decomposition_from_roots(rs, [(2, 2)])
+
+
+
+def test_decomposition_from_roots_refuses_entries_that_are_not_integers():
+    # decomposition_from_roots once kept the float root (1.0, 1, 1) as a
+    # factor, and a list root raised TypeError.
+    a3 = system("A3")
+    with pytest.raises(DimensionMismatch):
+        decomposition_from_roots(a3, [(1.0, 1, 1), (0, 1, 0)])
+    with pytest.raises(NotARoot, match="not a positive root"):
+        decomposition_from_roots(a3, [(-1, -1, -1)])
+    dec = decomposition_from_roots(a3, [[0, 1, 0], [1, 1, 1]])
+    assert dec == canonical_decomposition(a3)
+    assert verify_decomposition(a3, dec).all_ok()
 
 
 def test_uniqueness_exhaustive_on_small_systems():

@@ -247,6 +247,27 @@ def test_cartan_integer_accepts_negative_roots():
     assert cartan_integer(a2, (1, 0), (-1, -1)) == -1
 
 
+
+def test_root_checks_refuse_entries_that_are_not_integers():
+    # A float root once passed the root check, as (1.0, 0, 0) equals and
+    # hashes as (1, 0, 0): in A3 cartan_integer gave -1.0 for it, and 0.0
+    # for the lattice vector (0.5, 1, 0), which was never checked.
+    a3 = system("A3")
+    with pytest.raises(DimensionMismatch):
+        cartan_integer(a3, (0, 1, 0), (1.0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        cartan_integer(a3, (0.5, 1, 0), (1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        cartan_integer(a3, (0, "1", 0), (1, 0, 0))
+    for x in [(1.0, 0, 0), (0, "1", 0), "abc"]:
+        with pytest.raises(DimensionMismatch):
+            is_root(a3, x)
+    # lists are read as their tuples, bools as 0 and 1
+    assert is_root(a3, [1, True, 0])
+    assert not is_root(a3, [1, 0, 1])
+    assert cartan_integer(a3, [0, 1, 0], [True, 0, 0]) == -1
+
+
 def test_cartan_integer_on_a_fresh_system_equals_the_dense_coroot_pairing():
     # One pairing computes the coroot of one root, on a system built afresh.
     for t in ["B4", "G2"]:
@@ -273,6 +294,19 @@ def test_connectivity():
     assert not is_connected(e6, (1, 2))  # nodes 1 and 2 are not adjacent
     assert is_connected(e6, (2, 4))
     assert not is_connected(e6, ())
+
+
+
+def test_is_connected_refuses_indices_outside_the_diagram():
+    # (1, 5) once raised IndexError and (1.5, 2) TypeError, where
+    # highest_root_of raises DisconnectedSubset.
+    a3 = system("A3")
+    for J in [(1, 5), (0, 1), (1.5, 2), (1.0,), ("1",), "12", [None]]:
+        with pytest.raises(DisconnectedSubset):
+            is_connected(a3, J)
+    assert not is_connected(a3, ())
+    assert is_connected(a3, [True, 2])
+    assert is_connected(a3, {3, 2})
 
 
 def test_highest_root_of_fixtures():

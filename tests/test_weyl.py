@@ -113,6 +113,19 @@ def test_compose_refuses_entries_that_are_not_integers():
     assert compose([list(row) for row in s1], [[True, False], [0, 1]]) == s1
 
 
+
+def test_compose_refuses_ragged_matrices():
+    # compose(I, ((1, 0), (0,))) once returned the 2x1 ((1,), (0,)); an
+    # over-long row of u was ignored and a short one raised IndexError.
+    identity = identity_matrix(2)
+    for ragged in [((1, 0), (0,)), ((1, 0), (0, 1, 0)), ((1,), (0, 1)), ((1, 0), 5)]:
+        with pytest.raises(DimensionMismatch):
+            compose(identity, ragged)
+        with pytest.raises(DimensionMismatch):
+            compose(ragged, identity)
+    assert compose((), ()) == ()
+
+
 def test_evaluate_word_is_right_to_left():
     a2 = system("A2")
     assert evaluate_word(a2, [1, 2]) == compose(

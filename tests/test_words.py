@@ -7,6 +7,7 @@ import pytest
 
 from weyldecomp import (
     BadRange,
+    DimensionMismatch,
     NotARoot,
     Orthogonal,
     Proportional,
@@ -67,6 +68,25 @@ def test_positive_representative():
     assert positive_representative(a2, (1, 0)) == (1, 0)
     with pytest.raises(NotARoot):
         positive_representative(a2, (2, 0))
+
+
+
+def test_conjugation_checks_refuse_entries_that_are_not_integers():
+    # conjugated_root(a3, (1.0, 0, 0), (0, 1, 0)) once returned (1.0, 1, 0),
+    # and a list root raised TypeError.
+    a3 = system("A3")
+    for a, b in [((1.0, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1.0, 0)), ((1, 0, 0), "abc")]:
+        with pytest.raises(DimensionMismatch):
+            conjugated_root(a3, a, b)
+        with pytest.raises(DimensionMismatch):
+            classify_conjugation(a3, a, b)
+    with pytest.raises(DimensionMismatch):
+        positive_representative(a3, (-1.0, -1, 0))
+    assert conjugated_root(a3, [1, 0, 0], [0, True, 0]) == (1, 1, 0)
+    assert positive_representative(a3, [-1, -1, 0]) == (1, 1, 0)
+    assert classify_conjugation(a3, [1, 0, 0], [0, 1, 0]) == classify_conjugation(
+        a3, (1, 0, 0), (0, 1, 0)
+    )
 
 
 def test_classification_table_of_named_cases():
