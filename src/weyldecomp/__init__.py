@@ -11,145 +11,17 @@ generates it.
 """
 from __future__ import annotations
 
-from .decompose import (
-    Decomposition,
-    DecompositionFactor,
-    ParabolicTower,
-    VerificationReport,
-    canonical_decomposition,
-    decomposition_from_roots,
-    dn_orthogonality_pattern,
-    enumerate_max_orthogonal,
-    epsilon_factorization,
-    parabolic_tower,
-    recursion_relation_check,
-    verify_decomposition,
-)
-from .errors import (
-    BadLetter,
-    BadRange,
-    DimensionMismatch,
-    DisconnectedSubset,
-    InvalidType,
-    NoRelation,
-    NotARoot,
-    Orthogonal,
-    Proportional,
-    TooLarge,
-    UnrecognizedDiagram,
-    WeylError,
-    WrongFamily,
-)
-from .rootsys import (
-    Matrix,
-    Root,
-    RootSystem,
-    RootSystemType,
-    build_root_system,
-    cartan_integer,
-    dominance_leq,
-    format_root,
-    height,
-    highest_root_of,
-    identity_matrix,
-    is_connected,
-    is_root,
-    pairing2,
-    parabolic_embedding,
-    parse_type,
-    support,
-    system,
-)
-from .weyl import (
-    LongestClassification,
-    apply_matrix,
-    classify_longest,
-    compose,
-    count_reduced_words,
-    descents,
-    evaluate_word,
-    length_of,
-    longest_element,
-    preserves_form,
-    reduced_word_of,
-    reflection_of,
-    simple_reflection,
-)
-from .words import (
-    ConjugationCase,
-    check_lambda_v,
-    check_permutation_lemma,
-    classify_conjugation,
-    conjugated_root,
-    conjugation_identity_holds,
-    positive_representative,
-    predicted_conjugate,
-)
+from . import decompose, errors, rootsys, weyl, words
+from .decompose import *
+from .errors import *
+from .rootsys import *
+from .weyl import *
+from .words import *
 
-__all__ = [
-    "BadLetter",
-    "BadRange",
-    "ConjugationCase",
-    "Decomposition",
-    "DecompositionFactor",
-    "DimensionMismatch",
-    "DisconnectedSubset",
-    "InvalidType",
-    "LongestClassification",
-    "Matrix",
-    "NoRelation",
-    "NotARoot",
-    "Orthogonal",
-    "ParabolicTower",
-    "Proportional",
-    "Root",
-    "RootSystem",
-    "RootSystemType",
-    "TooLarge",
-    "UnrecognizedDiagram",
-    "VerificationReport",
-    "WeylError",
-    "WrongFamily",
-    "apply_matrix",
-    "build_root_system",
-    "canonical_decomposition",
-    "cartan_integer",
-    "check_lambda_v",
-    "check_permutation_lemma",
-    "classify_conjugation",
-    "classify_longest",
-    "compose",
-    "conjugated_root",
-    "conjugation_identity_holds",
-    "count_reduced_words",
-    "decomposition_from_roots",
-    "descents",
-    "dn_orthogonality_pattern",
-    "dominance_leq",
-    "enumerate_max_orthogonal",
-    "epsilon_factorization",
-    "evaluate_word",
-    "format_root",
-    "height",
-    "highest_root_of",
-    "identity_matrix",
-    "is_connected",
-    "is_root",
-    "length_of",
-    "longest_element",
-    "pairing2",
-    "parabolic_embedding",
-    "parabolic_tower",
-    "parse_type",
-    "positive_representative",
-    "predicted_conjugate",
-    "preserves_form",
-    "recursion_relation_check",
-    "reduced_word_of",
-    "reflection_of",
-    "simple_reflection",
-    "support",
-    "system",
-    "verify_decomposition",
-]
+__all__: list[str] = []
+__all__ += decompose.__all__
+__all__ += errors.__all__
+__all__ += rootsys.__all__
+__all__ += weyl.__all__
+__all__ += words.__all__
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from itertools import product
 
 from .errors import NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
+    Matrix,
     Root,
     RootSystem,
     _Record,
@@ -31,18 +32,35 @@ from .rootsys import (
     _pair,
     _pairing2,
     _root,
+    _sequence,
     dominance_leq,
     identity_matrix,
     support,
 )
 from .weyl import (
-    Matrix,
     _greedy_walk,
-    _reflection_product,
+    _reflection_columns,
+    _unpack,
     classify_longest,
     longest_element,
     reflection_product,
 )
+
+__all__ = [
+    "Decomposition",
+    "DecompositionFactor",
+    "ParabolicTower",
+    "VerificationReport",
+    "canonical_decomposition",
+    "decomposition_from_roots",
+    "dn_orthogonality_pattern",
+    "enumerate_max_orthogonal",
+    "epsilon_factorization",
+    "parabolic_tower",
+    "recursion_relation_check",
+    "verify_decomposition",
+]
+
 
 class DecompositionFactor(_Record):
     """One reflection factor: its (positive) root and what the root is.
@@ -82,7 +100,7 @@ def _factor_for(root: Root) -> DecompositionFactor:
 
 def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
     """Wrap explicit root vectors as a Decomposition (tagging each factor)."""
-    checked = [_integers(r, "root") for r in roots]
+    checked = [_integers(r, "root") for r in _sequence(roots, "root list")]
     for r in checked:
         if r not in rs.root_index:
             raise NotARoot(f"{r} is not a positive root of {rs.type}")
@@ -177,7 +195,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
         for y in non_simple[i + 1 :]
     )
 
-    product_is_w0 = _reflection_product(rs, roots) == longest_element(rs)
+    product_is_w0 = _unpack(_reflection_columns(rs, roots)) == longest_element(rs)
     count_ok = len(roots) <= rs.rank
     return VerificationReport(
         orthogonal=orthogonal,
@@ -329,7 +347,7 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     inner = [simple[i - 1] for i in _greedy_walk(rs, [1] * rs.rank, J)]
     top = _highest_by_support(rs)
     tail = [theta] + [top[K] for K in perp if K != J]
-    return _reflection_product(rs, inner + tail) == longest_element(rs)
+    return _unpack(_reflection_columns(rs, inner + tail)) == longest_element(rs)
 
 
 class ParabolicTower(_Record):
@@ -417,4 +435,4 @@ def _frame_suite(rs: RootSystem) -> bool:
     roots = epsilon_factorization(rs)
     if not _pairwise_orthogonal(rs, roots):
         return False
-    return _reflection_product(rs, roots) == longest_element(rs)
+    return _unpack(_reflection_columns(rs, roots)) == longest_element(rs)

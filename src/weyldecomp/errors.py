@@ -5,6 +5,22 @@ Every error raised by the library derives from :class:`WeylError`, so callers
 """
 from __future__ import annotations
 
+__all__ = [
+    "BadLetter",
+    "BadRange",
+    "DimensionMismatch",
+    "DisconnectedSubset",
+    "InvalidType",
+    "NoRelation",
+    "NotARoot",
+    "Orthogonal",
+    "Proportional",
+    "TooLarge",
+    "UnrecognizedDiagram",
+    "WeylError",
+    "WrongFamily",
+]
+
 
 class WeylError(Exception):
     """Base class for all weyldecomp errors."""

@@ -14,9 +14,9 @@ a Dynkin edge i - j has 2*(a_i, a_j) = -max(g_ii, g_jj)/2, minus the larger
 squared length.
 
 Inputs are read once, where a public function receives them: a list is read
-as its tuple, an entry that is not an integer (a float or a str; a bool counts
-as 0 or 1) raises DimensionMismatch, and a vector that must be a root and is
-not raises NotARoot.
+as its tuple, a value that is not a sequence or an entry that is not an
+integer (a float or a str; a bool counts as 0 or 1) raises DimensionMismatch,
+and a vector that must be a root and is not raises NotARoot.
 
 Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
 j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
@@ -38,6 +38,27 @@ from .errors import (
     TooLarge,
     UnrecognizedDiagram,
 )
+
+__all__ = [
+    "Matrix",
+    "Root",
+    "RootSystem",
+    "RootSystemType",
+    "build_root_system",
+    "cartan_integer",
+    "dominance_leq",
+    "format_root",
+    "height",
+    "highest_root_of",
+    "identity_matrix",
+    "is_connected",
+    "is_root",
+    "pairing2",
+    "parabolic_embedding",
+    "parse_type",
+    "support",
+    "system",
+]
 
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -240,13 +261,29 @@ def _pair(x: Root, row: SparseRow) -> int:
     return k
 
 
+def _sequence(values, what: str, error=DimensionMismatch) -> tuple:
+    """values as a tuple; ``error`` names ``what`` when it is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} {values!r} is not a sequence") from None
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     """values as a tuple of ints, taken through ``index``; DimensionMismatch
-    names ``what`` when an entry is not an integer."""
+    names ``what`` when it is not a sequence or an entry is not an integer."""
     try:
-        return tuple(map(index, values))
+        return tuple(map(index, _sequence(values, what)))
     except TypeError:
         raise DimensionMismatch(f"{what} {values!r} has an entry that is not an integer") from None
+
+
+def _vector(n: int, x) -> Root:
+    """x as a tuple of n ints, read by ``_integers``; DimensionMismatch otherwise."""
+    x = _integers(x, "vector")
+    if len(x) != n:
+        raise DimensionMismatch(f"vector of length {len(x)} where length {n} is needed")
+    return x
 
 
 def _dot(x: Root, y: Root) -> int:
@@ -376,7 +413,7 @@ def is_root(rs: RootSystem, x: Root) -> bool:
 
 def support(x: Root) -> tuple[int, ...]:
     """The 1-based indices of the nonzero coefficients of x, ascending."""
-    return tuple(compress(range(1, len(x) + 1), _integers(x, "vector")))
+    return tuple(i for i, c in enumerate(_integers(x, "vector"), 1) if c)
 
 
 def height(x: Root) -> int:
@@ -385,11 +422,7 @@ def height(x: Root) -> int:
 
 def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
     """The doubled inner product 2*(x, y); exact for all lattice vectors."""
-    if len(x) != rs.rank or len(y) != rs.rank:
-        raise DimensionMismatch(
-            f"vectors of length {len(x)} and {len(y)} in a rank-{rs.rank} system"
-        )
-    return _pairing2(rs, _integers(x, "vector"), _integers(y, "vector"))
+    return _pairing2(rs, _vector(rs.rank, x), _vector(rs.rank, y))
 
 
 def _pairing2(rs: RootSystem, x: Root, y: Root) -> int:
@@ -407,9 +440,7 @@ def _two_rho(rs: RootSystem) -> Root:
 
 def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
     """The integer 2*(a, x)/(a, a) for a root ``a`` and lattice vector ``x``."""
-    a, x = _root(rs, a), _integers(x, "vector")
-    if len(x) != rs.rank:
-        raise DimensionMismatch(f"vector of length {len(x)} in a rank-{rs.rank} system")
+    a, x = _root(rs, a), _vector(rs.rank, x)
     return _pair(x, _coroot(rs.gram2, a))
 
 
@@ -479,10 +510,8 @@ def _highest_by_support(rs: RootSystem) -> dict[tuple[int, ...], Root]:
 
 def dominance_leq(x: Root, y: Root) -> bool:
     """Componentwise partial order: True iff every coefficient of y - x is >= 0."""
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vectors of length {len(x)} and {len(y)}")
-    x, y = _integers(x, "vector"), _integers(y, "vector")
-    return all(yc - xc >= 0 for xc, yc in zip(x, y))
+    x = _integers(x, "vector")
+    return all(yc - xc >= 0 for xc, yc in zip(x, _vector(len(x), y)))
 
 
 def _diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[int, ...]):

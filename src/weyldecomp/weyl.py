@@ -37,16 +37,33 @@ from .rootsys import (
     _pair,
     _pairing2,
     _root,
+    _sequence,
     _sparse_columns,
     _two_rho,
     _units,
 )
 
+__all__ = [
+    "LongestClassification",
+    "apply_matrix",
+    "classify_longest",
+    "compose",
+    "count_reduced_words",
+    "descents",
+    "evaluate_word",
+    "length_of",
+    "longest_element",
+    "preserves_form",
+    "reduced_word_of",
+    "reflection_of",
+    "simple_reflection",
+]
+
 
 def _check_shape(n: int, m: Matrix) -> Matrix:
-    """m as a tuple of int rows; DimensionMismatch unless it is n x n, of
-    integer entries (taken through ``index``)."""
-    rows = tuple(_integers(row, "matrix row") for row in m)
+    """m as a tuple of int rows; DimensionMismatch unless it is a sequence of
+    n rows of n integer entries (taken through ``index``)."""
+    rows = tuple(_integers(row, "matrix row") for row in _sequence(m, "matrix"))
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DimensionMismatch(f"rows of lengths {[*map(len, rows)]} where {n}x{n} is needed")
     return rows
@@ -62,8 +79,8 @@ def apply_matrix(m: Matrix, x: Root) -> Root:
 def compose(u: Matrix, v: Matrix) -> Matrix:
     """The product u.v, i.e. apply v first and then u.  Both must be square
     of one size with integer entries, or DimensionMismatch is raised."""
-    n = len(u)
-    u, cols = _check_shape(n, u), list(zip(*_check_shape(n, v)))
+    u = _sequence(u, "matrix")
+    u, cols = _check_shape(len(u), u), list(zip(*_check_shape(len(u), v)))
     return tuple(tuple(_dot(row, col) for col in cols) for row in u)
 
 
@@ -77,11 +94,11 @@ def _unpack(cols: list[int]) -> Matrix:
 def reflection_product(rs: RootSystem, roots) -> Matrix:
     """The product s_r1 . s_r2 ... of the reflections in the given roots,
     multiplied left to right (so the last root's reflection acts first)."""
-    return _reflection_product(rs, [_root(rs, r) for r in roots])
+    return _unpack(_reflection_columns(rs, [_root(rs, r) for r in _sequence(roots, "root list")]))
 
 
-def _reflection_product(rs: RootSystem, roots) -> Matrix:
-    """``reflection_product`` on int-tuple roots of rs, for callers that built them."""
+def _reflection_columns(rs: RootSystem, roots) -> list[int]:
+    """``reflection_product``'s packed columns, on int-tuple roots of rs that callers built."""
     cols = _units(rs.rank, 1)
     for r in roots:
         if sum(r) == 1:
@@ -91,7 +108,7 @@ def _reflection_product(rs: RootSystem, roots) -> Matrix:
             v, row = sum(map(mul, r, cols)), _coroot(rs.gram2, r)
         for j, c in row:
             cols[j] -= c * v
-    return _unpack(cols)
+    return cols
 
 
 def reflection_of(rs: RootSystem, a: Root) -> Matrix:
@@ -102,8 +119,13 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first.
     A letter is an integer in 1..rank; a bool is not a letter."""
+    return _unpack(_word_columns(rs, word))
+
+
+def _word_columns(rs: RootSystem, word) -> list[int]:
+    """``evaluate_word``'s packed columns; a word that is not a sequence raises BadLetter."""
     cols = _units(rs.rank, 1)
-    for letter in word:
+    for letter in _sequence(word, "word", BadLetter):
         try:
             i = index(None if isinstance(letter, bool) else letter)
         except TypeError:
@@ -113,7 +135,7 @@ def evaluate_word(rs: RootSystem, word) -> Matrix:
         v = cols[i - 1]
         for j, c in rs.simple_coroots[i - 1]:
             cols[j] -= c * v
-    return _unpack(cols)
+    return cols
 
 
 def simple_reflection(rs: RootSystem, i: int) -> Matrix:

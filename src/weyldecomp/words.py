@@ -49,7 +49,18 @@ from .rootsys import (
     identity_matrix,
     negate,
 )
-from .weyl import _reflection_product, evaluate_word, reflection_of, reflection_product
+from .weyl import _reflection_columns, _word_columns, reflection_of, reflection_product
+
+__all__ = [
+    "ConjugationCase",
+    "check_lambda_v",
+    "check_permutation_lemma",
+    "classify_conjugation",
+    "conjugated_root",
+    "conjugation_identity_holds",
+    "positive_representative",
+    "predicted_conjugate",
+]
 
 
 def positive_representative(rs: RootSystem, x: Root) -> Root:
@@ -152,11 +163,8 @@ def check_lambda_v(rs: RootSystem, k: int, n: int) -> bool:
     k, n = _check_range(rs, k, n, allow_equal=True)
     up_then_down = list(range(k, n + 1)) + list(range(n - 1, k - 1, -1))
     down_then_up = list(range(n, k - 1, -1)) + list(range(k + 1, n + 1))
-    target = reflection_of(rs, _interval_root(rs, k, n))
-    return (
-        evaluate_word(rs, up_then_down) == target
-        and evaluate_word(rs, down_then_up) == target
-    )
+    target = _reflection_columns(rs, [_interval_root(rs, k, n)])
+    return _word_columns(rs, up_then_down) == target == _word_columns(rs, down_then_up)
 
 
 def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
@@ -170,7 +178,7 @@ def check_permutation_lemma(rs: RootSystem, k: int, n: int) -> bool:
     simple = identity_matrix(rs.rank)
     left = [_interval_root(rs, k, n - 1), *simple[k - 1 : n][::-1]]
     right = [*simple[k : n - 1][::-1], _interval_root(rs, k, n)]
-    return _reflection_product(rs, left) == _reflection_product(rs, right)
+    return _reflection_columns(rs, left) == _reflection_columns(rs, right)
 
 
 def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:

@@ -165,12 +165,13 @@ def _vectors(rs):
 
 
 @st.composite
-def _matrices(draw, rs):
-    """Reflections of rs and small integer matrices, the rank square, or
-    with one row or one entry of a row too many or too few."""
+def _matrices(draw, rs, outside_w=True):
+    """Reflections of rs and, unless ``outside_w`` is False, small integer
+    matrices; the rank square, or with one row or one entry of a row too many
+    or too few."""
     reflections = st.sampled_from(rs.positive_roots).map(lambda r: reflection_of(rs, r))
     square = st.tuples(*[st.tuples(*[st.integers(-2, 2)] * rs.rank)] * rs.rank)
-    rows = list(draw(reflections | square))
+    rows = list(draw(reflections | square if outside_w else reflections))
     i = draw(st.integers(0, rs.rank - 1))
     edit = draw(st.sampled_from(["none", "short row", "long row", "extra row", "no row"]))
     if edit == "short row":
@@ -188,11 +189,18 @@ def _index_sets(rs):
     return st.lists(st.integers(-1, rs.rank + 1), max_size=4).map(tuple)
 
 
+def _words(rs):
+    return st.lists(st.integers(0, rs.rank + 1), max_size=6).map(tuple)
+
+
 _ARGUMENTS = {
     "vector": _vectors,
     "vectors": lambda rs: st.lists(_vectors(rs), max_size=3),
     "matrix": _matrices,
+    # length_of raises ValueError for a square integer matrix outside W
+    "element": lambda rs: _matrices(rs, outside_w=False),
     "indices": _index_sets,
+    "word": _words,
 }
 
 # (function, whether it takes the system first, its other arguments' kinds)
@@ -208,6 +216,10 @@ _BOUNDARY = [
     (compose, False, ["matrix", "matrix"]),
     (apply_matrix, False, ["matrix", "vector"]),
     (is_connected, True, ["indices"]),
+    (pairing2, True, ["vector", "vector"]),
+    (dominance_leq, False, ["vector", "vector"]),
+    (evaluate_word, True, ["word"]),
+    (length_of, True, ["element"]),
 ]
 
 _ENTRY = {
@@ -239,17 +251,18 @@ def _outcome(f, args):
 @settings(max_examples=300, deadline=None)
 def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     # Lists are read as tuples and bools as 0 and 1; float and str entries,
-    # wrong lengths and ragged rows raise a WeylError.  An answer is compared
-    # by repr, so a float that equals its int does not pass for it.  The
-    # checks raise AssertionError explicitly, so python -O keeps them.
+    # wrong lengths, ragged rows and an argument that is not a sequence (5,
+    # None) raise a WeylError.  An answer is compared by repr, so a float
+    # that equals its int does not pass for it.  The checks raise
+    # AssertionError explicitly, so python -O keeps them.
     rs = data.draw(st.sampled_from(["A3", "B3", "C3", "D4", "G2"]).map(system))
     f, takes_system, kinds = data.draw(st.sampled_from(_BOUNDARY))
     args = [data.draw(_ARGUMENTS[kind](rs)) for kind in kinds]
     head = [rs] if takes_system else []
     expected = repr(_outcome(f, head + args))
     for k in range(len(args)):
-        for how in _ENTRY:
-            changed = args[:k] + [_rewritten(args[k], how)] + args[k + 1 :]
+        for arg in [*(_rewritten(args[k], how) for how in _ENTRY), 5, None]:
+            changed = args[:k] + [arg] + args[k + 1 :]
             got = _outcome(f, head + changed)
             if not isinstance(got, WeylError) and repr(got) != expected:
                 raise AssertionError(f"{f.__name__}{tuple(changed)}: {got!r}, not {expected}")
