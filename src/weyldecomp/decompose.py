@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import product
 
-from .errors import NoRelation, NotARoot, TooLarge, WrongFamily
+from .errors import DimensionMismatch, NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
     Matrix,
     Root,
@@ -93,18 +93,15 @@ class Decomposition(_Record):
         return reflection_product(self.system, self.roots)
 
 
-def _factor_for(root: Root) -> DecompositionFactor:
-    kind = "simple" if sum(root) == 1 else "highest"
-    return DecompositionFactor(root, kind)
-
-
 def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
-    """Wrap explicit root vectors as a Decomposition (tagging each factor)."""
+    """Wrap positive roots as a Decomposition: a root of height 1 is a "simple"
+    factor, any other a "highest" one."""
     checked = [_integers(r, "root") for r in _sequence(roots, "root list")]
     for r in checked:
         if r not in rs.root_index:
             raise NotARoot(f"{r} is not a positive root of {rs.type}")
-    return Decomposition(system=rs, factors=tuple(map(_factor_for, checked)))
+    factors = (DecompositionFactor(r, "simple" if sum(r) == 1 else "highest") for r in checked)
+    return Decomposition(system=rs, factors=tuple(factors))
 
 
 def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
@@ -148,7 +145,7 @@ def canonical_decomposition(rs: RootSystem) -> Decomposition:
     roots = [theta for theta, _ in _cascade(rs)]
     simples = sorted((r for r in roots if sum(r) == 1), key=_simple_factor_key(rs))
     chain = sorted((r for r in roots if sum(r) > 1), key=sum)
-    return Decomposition(system=rs, factors=tuple(_factor_for(r) for r in simples + chain))
+    return decomposition_from_roots(rs, simples + chain)
 
 
 class VerificationReport(_Record):
@@ -165,13 +162,9 @@ class VerificationReport(_Record):
         return all(self._values())
 
 
-def _pairwise_orthogonal(rs: RootSystem, roots) -> bool:
-    rows = [_coroot(rs.gram2, x) for x in roots]
-    return all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
-
-
 def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationReport:
-    """Run the five checks on a candidate decomposition.
+    """Run the five checks on a candidate Decomposition (DimensionMismatch
+    for any other dec).
 
     orthogonal: the factor roots are pairwise orthogonal.
     highest_root_ok: every factor root is the highest root of the connected
@@ -182,8 +175,11 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     count_ok: there are at most rank-many factors (pairwise orthogonal roots
         are linearly independent, so more can never occur in a valid set).
     """
+    if not isinstance(dec, Decomposition):
+        raise DimensionMismatch(f"decomposition {dec!r} is not a Decomposition")
     roots = [_root(rs, r) for r in dec.roots]
-    orthogonal = _pairwise_orthogonal(rs, roots)
+    rows = [_coroot(rs.gram2, x) for x in roots]
+    orthogonal = all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
 
     top = _highest_by_support(rs)
     highest_ok = all(top[support(r)] == r for r in roots)
@@ -384,14 +380,10 @@ def parabolic_tower(rs: RootSystem) -> ParabolicTower:
     simple factor), even B, D and E8, even where the first simple factor
     lies inside the smallest chain support (B2, D3, D4, even D, E8).
     """
-    dec = canonical_decomposition(rs)
-    chains = [f.span for f in dec.factors if f.kind == "highest"]
-    supports: list[tuple[int, ...]] = []
-    if _tower_is_seeded(rs):
-        first_simple = next(f for f in dec.factors if f.kind == "simple")
-        supports.append(first_simple.span)
-    supports.extend(chains)
-    return ParabolicTower(system=rs, supports=tuple(supports))
+    factors = canonical_decomposition(rs).factors
+    seed = [next(f.span for f in factors if f.kind == "simple")] if _tower_is_seeded(rs) else []
+    chains = [f.span for f in factors if f.kind == "highest"]
+    return ParabolicTower(system=rs, supports=tuple(seed + chains))
 
 
 def epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
@@ -431,8 +423,7 @@ def dn_orthogonality_pattern(rs: RootSystem) -> bool:
 
 def _frame_suite(rs: RootSystem) -> bool:
     """Check the coordinate-frame factorization: pairwise orthogonal roots
-    whose reflections multiply to the longest element."""
-    roots = epsilon_factorization(rs)
-    if not _pairwise_orthogonal(rs, roots):
-        return False
-    return _unpack(_reflection_columns(rs, roots)) == longest_element(rs)
+    whose reflections multiply to the longest element.  Not all_ok(): the
+    frame roots are not highest roots of parabolics."""
+    report = verify_decomposition(rs, decomposition_from_roots(rs, epsilon_factorization(rs)))
+    return report.orthogonal and report.product_is_w0

@@ -31,7 +31,7 @@ class InvalidType(WeylError):
 
 
 class DimensionMismatch(WeylError):
-    """Raised for a vector or matrix of the wrong size, or with an entry that is not an integer."""
+    """Raised for a wrong-size vector or matrix, a non-integer entry, or a wrong-kind argument."""
 
 
 class NotARoot(WeylError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .errors import BadRange, NotARoot, Orthogonal, Proportional, TooLarge
+from .errors import BadRange, DimensionMismatch, NotARoot, Orthogonal, Proportional, TooLarge
 from .rootsys import (
     Root,
     RootSystem,
@@ -131,6 +131,9 @@ def classify_conjugation(rs: RootSystem, a: Root, b: Root) -> ConjugationCase | 
 
 def predicted_conjugate(rs: RootSystem, a: Root, b: Root, case: ConjugationCase) -> Root:
     """The closed-form conjugate for a classified pair: b + k*a or b - k*a."""
+    a, b = _root(rs, a), _root(rs, b)
+    if not isinstance(case, ConjugationCase):
+        raise DimensionMismatch(f"case {case!r} is not a ConjugationCase")
     k = case.coefficient if case.sign == "Minus" else -case.coefficient
     return positive_representative(rs, tuple(bc + k * ac for bc, ac in zip(b, a)))
 

@@ -170,6 +170,22 @@ def test_canonical_verifies_everywhere():
         assert report.all_ok(), (t, report)
 
 
+def test_decomposition_product_is_the_longest_element():
+    # Decomposition.product multiplies the factor reflections; on the
+    # canonical decomposition it is w0, which the greedy walk builds apart.
+    for t in FULL_SWEEP:
+        rs = system(t)
+        assert canonical_decomposition(rs).product() == longest_element(rs), t
+
+
+def test_verify_refuses_a_value_that_is_not_a_decomposition():
+    # It once raised AttributeError reading ``.roots`` off such a value.
+    a3 = system("A3")
+    for dec in (5, None, canonical_decomposition(a3).roots):
+        with pytest.raises(DimensionMismatch, match="is not a Decomposition"):
+            verify_decomposition(a3, dec)
+
+
 def test_factor_counts_formula():
     expected = {
         "A1": 1, "A2": 1, "A3": 2, "A4": 2, "A5": 3, "A6": 3, "A7": 4, "A8": 4,

@@ -1,10 +1,15 @@
 """Property-based invariants over random systems, roots, and words."""
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldecomp import (
+    ConjugationCase,
     WeylError,
     apply_matrix,
     cartan_integer,
@@ -22,10 +27,12 @@ from weyldecomp import (
     longest_element,
     pairing2,
     positive_representative,
+    predicted_conjugate,
     preserves_form,
     reduced_word_of,
     reflection_of,
     system,
+    verify_decomposition,
 )
 from weyldecomp.rootsys import negate
 
@@ -201,7 +208,18 @@ _ARGUMENTS = {
     "element": lambda rs: _matrices(rs, outside_w=False),
     "indices": _index_sets,
     "word": _words,
+    # Records, not rewritten entry by entry: only 5 and None replace them.
+    "decomposition": lambda rs: st.lists(st.sampled_from(rs.positive_roots), max_size=3).map(
+        lambda roots: decomposition_from_roots(rs, roots)
+    ),
+    "case": lambda rs: st.builds(
+        ConjugationCase,
+        st.sampled_from(["LongLong", "ShortLong_C"]),
+        st.sampled_from(["Minus", "Plus"]),
+        st.integers(1, 3),
+    ),
 }
+_RECORDS = {"decomposition", "case"}
 
 # (function, whether it takes the system first, its other arguments' kinds)
 _BOUNDARY = [
@@ -220,6 +238,8 @@ _BOUNDARY = [
     (dominance_leq, False, ["vector", "vector"]),
     (evaluate_word, True, ["word"]),
     (length_of, True, ["element"]),
+    (verify_decomposition, True, ["decomposition"]),
+    (predicted_conjugate, True, ["vector", "vector", "case"]),
 ]
 
 _ENTRY = {
@@ -251,18 +271,44 @@ def _outcome(f, args):
 @settings(max_examples=300, deadline=None)
 def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     # Lists are read as tuples and bools as 0 and 1; float and str entries,
-    # wrong lengths, ragged rows and an argument that is not a sequence (5,
-    # None) raise a WeylError.  An answer is compared by repr, so a float
-    # that equals its int does not pass for it.  The checks raise
+    # wrong lengths, ragged rows, an argument that is not a sequence (5,
+    # None) and 5 or None in place of a record (a Decomposition, a
+    # ConjugationCase) raise a WeylError.  An answer is compared by repr, so
+    # a float that equals its int does not pass for it.  The checks raise
     # AssertionError explicitly, so python -O keeps them.
     rs = data.draw(st.sampled_from(["A3", "B3", "C3", "D4", "G2"]).map(system))
     f, takes_system, kinds = data.draw(st.sampled_from(_BOUNDARY))
     args = [data.draw(_ARGUMENTS[kind](rs)) for kind in kinds]
     head = [rs] if takes_system else []
     expected = repr(_outcome(f, head + args))
-    for k in range(len(args)):
-        for arg in [*(_rewritten(args[k], how) for how in _ENTRY), 5, None]:
+    for k, kind in enumerate(kinds):
+        rewrites = [] if kind in _RECORDS else [_rewritten(args[k], how) for how in _ENTRY]
+        for arg in [*rewrites, 5, None]:
             changed = args[:k] + [arg] + args[k + 1 :]
             got = _outcome(f, head + changed)
             if not isinstance(got, WeylError) and repr(got) != expected:
                 raise AssertionError(f"{f.__name__}{tuple(changed)}: {got!r}, not {expected}")
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    # Under the repository's warning filters, Hypothesis's failure report
+    # once imported libcst into a DeprecationWarning turned error, and the
+    # run ended in INTERNALERROR instead of the falsifying example.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n"
+    )
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    command = [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path)]
+    run = subprocess.run(
+        [*command, "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout, run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout + run.stderr

@@ -356,6 +356,17 @@ def test_parabolic_embedding_fixtures():
     assert idx == {1: 2}
 
 
+def test_parabolic_embedding_of_a_whole_exceptional_diagram():
+    # No D, E or F system has rank 2 and no E system rank 4, so the family
+    # walk passes over those ranks before it reaches G2 and F4.
+    for t in ("G2", "F4"):
+        rs = system(t)
+        nodes = tuple(range(1, rs.rank + 1))
+        inner, idx = parabolic_embedding(rs, nodes)
+        assert str(inner.type) == t
+        assert idx == {i: i for i in nodes}
+
+
 def test_parabolic_embedding_prefers_earliest_family():
     # The rank-2 double-bond diagram is reported in its B labelling.
     c3 = system("C3")
@@ -432,6 +443,13 @@ def test_simple_root_refuses_indices_that_are_not_integers():
         with pytest.raises(DimensionMismatch):
             a3.simple_root(i)
     assert a3.simple_root(3) == (0, 0, 1)
+
+
+def test_simple_root_refuses_indices_outside_one_to_rank():
+    a3 = system("A3")
+    for i in (0, 4, -1):
+        with pytest.raises(DimensionMismatch, match=f"index {i} outside 1..3"):
+            a3.simple_root(i)
 
 
 def test_every_root_of_every_supported_type_fits_a_signed_byte():

@@ -113,6 +113,21 @@ def test_classification_table_of_named_cases():
         assert predicted_conjugate(rs, a, b, case) == conj
 
 
+def test_predicted_conjugate_reads_its_roots_and_case_at_the_boundary():
+    # a and b were read unchecked: 5 raised TypeError, and (1, 0, 0, 9) lost
+    # its extra entry to zip and answered (1, 1, 0).
+    a3 = system("A3")
+    case = classify_conjugation(a3, (1, 0, 0), (0, 1, 0))
+    assert predicted_conjugate(a3, [1, 0, 0], [0, 1, 0], case) == (1, 1, 0)
+    with pytest.raises(NotARoot):
+        predicted_conjugate(a3, (1, 0, 0, 9), (0, 1, 0), case)
+    with pytest.raises(DimensionMismatch):
+        predicted_conjugate(a3, 5, (0, 1, 0), case)
+    for bad in (5, None, ("LongLong", "Minus", 1)):
+        with pytest.raises(DimensionMismatch, match="is not a ConjugationCase"):
+            predicted_conjugate(a3, (1, 0, 0), (0, 1, 0), bad)
+
+
 def test_classification_coefficients():
     assert classify_conjugation(system("A2"), (1, 0), (0, 1)).coefficient == 1
     assert classify_conjugation(system("B2"), (0, 1), (1, 0)).coefficient == 2
