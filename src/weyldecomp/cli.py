@@ -120,25 +120,32 @@ def _factor_text(factor) -> str:
     return f"{format_root(factor.root)} (simple)"
 
 
-def _cmd_info(rs, ns) -> tuple[int, dict, list[str]]:
-    n_pos = len(rs.positive_roots)
+def _overview(rs, kind_key: str, length: int) -> dict:
+    """The leading fields of info and export: the same facts, with w0's
+    classification under ``kind_key`` and its length given."""
     cls = classify_longest(rs)
     payload = {
         "type": str(rs.type),
         "rank": rs.rank,
-        "positive_root_count": n_pos,
-        "longest_length": n_pos,
-        "classification": cls.kind,
+        "positive_root_count": len(rs.positive_roots),
+        "longest_length": length,
+        kind_key: cls.kind,
     }
     if cls.kind == "minus_automorphism":
         payload["automorphism"] = list(cls.automorphism)
+    return payload
+
+
+def _cmd_info(rs, ns) -> tuple[int, dict, list[str]]:
+    n_pos = len(rs.positive_roots)
+    payload = _overview(rs, "classification", n_pos)
     payload["highest_root"] = list(rs.highest_root)
     lines = [
         f"type: {rs.type}",
         f"rank: {rs.rank}",
         f"positive roots: {n_pos}",
         f"longest length: {n_pos}",
-        f"classification: {cls.kind}",
+        f"classification: {payload['classification']}",
         f"highest root: {format_root(rs.highest_root)}",
     ]
     return 0, payload, lines
@@ -251,20 +258,9 @@ def _cmd_check_identities(rs, ns) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_export(rs, ns) -> tuple[int, dict, list[str]]:
-    dec = canonical_decomposition(rs)
-    cls = classify_longest(rs)
-    tower = parabolic_tower(rs)
-    payload: dict = {
-        "type": str(rs.type),
-        "rank": rs.rank,
-        "positive_root_count": len(rs.positive_roots),
-        "longest_length": length_of(rs, longest_element(rs)),
-        "w0_classification": cls.kind,
-    }
-    if cls.kind == "minus_automorphism":
-        payload["automorphism"] = list(cls.automorphism)
-    payload["factors"] = [_factor_payload(f) for f in dec.factors]
-    payload["tower"] = [list(J) for J in tower.supports]
+    payload = _overview(rs, "w0_classification", length_of(rs, longest_element(rs)))
+    payload["factors"] = [_factor_payload(f) for f in canonical_decomposition(rs).factors]
+    payload["tower"] = [list(J) for J in parabolic_tower(rs).supports]
     return 0, payload, []
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from operator import le
 
 from .errors import DimensionMismatch, NoRelation, NotARoot, TooLarge, WrongFamily
 from .rootsys import (
@@ -26,14 +27,12 @@ from .rootsys import (
     _Record,
     _components,
     _coroot,
-    _dot,
     _highest_by_support,
     _integers,
     _pair,
     _pairing2,
     _root,
     _sequence,
-    dominance_leq,
     identity_matrix,
     support,
 )
@@ -87,7 +86,12 @@ class Decomposition(_Record):
 
     @property
     def roots(self) -> tuple[Root, ...]:
-        return tuple(f.root for f in self.factors)
+        """The factor roots; DimensionMismatch unless factors are DecompositionFactors."""
+        factors = _sequence(self.factors, "factor list")
+        for f in factors:
+            if not isinstance(f, DecompositionFactor):
+                raise DimensionMismatch(f"factor {f!r} is not a DecompositionFactor")
+        return tuple(f.root for f in factors)
 
     def product(self) -> Matrix:
         return reflection_product(self.system, self.roots)
@@ -116,7 +120,7 @@ def _cascade(rs: RootSystem) -> Iterator[tuple[Root, list[tuple[int, ...]]]]:
     queue = [tuple(range(1, rs.rank + 1))]
     for J in queue:
         theta = top[J]
-        perp = _components(rs, [i for i in J if _dot(rs.gram2[i - 1], theta) == 0])
+        perp = _components(rs, [i for i in J if _pair(theta, rs.simple_coroots[i - 1]) == 0])
         queue.extend(perp)
         yield theta, perp
 
@@ -186,9 +190,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
 
     non_simple = [r for r in roots if sum(r) > 1]
     chain_ok = all(
-        dominance_leq(x, y) or dominance_leq(y, x)
-        for i, x in enumerate(non_simple)
-        for y in non_simple[i + 1 :]
+        all(map(le, x, y)) or all(map(le, y, x)) for x, y in combinations(non_simple, 2)
     )
 
     product_is_w0 = _unpack(_reflection_columns(rs, roots)) == longest_element(rs)

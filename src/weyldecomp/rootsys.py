@@ -446,7 +446,8 @@ def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
     """The connected components of the subdiagram on the given simple-root
-    indices, each ascending, ordered by their smallest index."""
+    indices, each ascending, ordered by their smallest index; a node's
+    neighbours are read from its sparse coroot row."""
     rest = set(indices)
     components = []
     while rest:
@@ -454,9 +455,8 @@ def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
         rest.discard(start)
         seen = [start]
         for i in seen:
-            row = rs.gram2[i - 1]
-            linked = {j for j in rest if row[j - 1]}
-            rest -= linked
+            linked = [j + 1 for j, _ in rs.simple_coroots[i - 1] if j + 1 in rest]
+            rest.difference_update(linked)
             seen.extend(linked)
         components.append(tuple(sorted(seen)))
     return components

@@ -9,7 +9,8 @@ For a simple root a_i, M a_i is column i, and only column i and those of
 its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
 entry sum) is, so w0 and reduced words take their letters from one greedy walk
-on the column heights, which M.s_i changes by h_j -= c_j h_i.
+on the column heights, which M.s_i changes by h_j -= c_j h_i; a bitmask of the
+nodes of positive height makes a step cost node i's degree, not the rank.
 
 A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
 rewrite is one int operation; only the final columns, roots with coefficients
@@ -119,12 +120,7 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first.
     A letter is an integer in 1..rank; a bool is not a letter."""
-    return _unpack(_word_columns(rs, word))
-
-
-def _word_columns(rs: RootSystem, word) -> list[int]:
-    """``evaluate_word``'s packed columns; a word that is not a sequence raises BadLetter."""
-    cols = _units(rs.rank, 1)
+    letters = []
     for letter in _sequence(word, "word", BadLetter):
         try:
             i = index(None if isinstance(letter, bool) else letter)
@@ -132,8 +128,16 @@ def _word_columns(rs: RootSystem, word) -> list[int]:
             raise BadLetter(f"letter {letter!r} is not an integer") from None
         if not 1 <= i <= rs.rank:
             raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
+        letters.append(i)
+    return _unpack(_word_columns(rs, letters))
+
+
+def _word_columns(rs: RootSystem, word) -> list[int]:
+    """``evaluate_word``'s packed columns, on letters it checked or a walk built."""
+    cols, rows = _units(rs.rank, 1), rs.simple_coroots
+    for i in word:
         v = cols[i - 1]
-        for j, c in rs.simple_coroots[i - 1]:
+        for j, c in rows[i - 1]:
             cols[j] -= c * v
     return cols
 
@@ -147,16 +151,22 @@ def _greedy_walk(rs: RootSystem, heights: list[int], letters=None) -> list[int]:
     """The letters of a greedy walk on column heights, updated in place:
     while some height among the allowed ``letters`` (ascending, 1-based; all
     by default) is positive, for at most as many steps as there are positive
-    roots, multiply on the right by s_i for the smallest such i."""
-    nodes = list(range(rs.rank)) if letters is None else [i - 1 for i in letters]
-    word = []
+    roots, multiply on the right by s_i for the smallest such i: the lowest
+    bit of a bitmask, in which s_i clears bit i (h_i turns to -h_i) and sets
+    the bits of the neighbours it makes positive (it only raises their heights)."""
+    allowed = (1 << rs.rank) - 1 if letters is None else sum(1 << (i - 1) for i in letters)
+    todo = sum(1 << j for j, h in enumerate(heights) if h > 0) & allowed
+    rows, word = rs.simple_coroots, []
     for _ in range(len(rs.positive_roots)):
-        i = next((j for j in nodes if heights[j] > 0), None)
-        if i is None:
+        if not todo:
             break
+        i = (todo & -todo).bit_length() - 1
         hi = heights[i]
-        for j, c in rs.simple_coroots[i]:
-            heights[j] -= c * hi
+        todo ^= 1 << i
+        for j, c in rows[i]:
+            h = heights[j] = heights[j] - c * hi
+            if h > 0:
+                todo |= (1 << j) & allowed
         word.append(i + 1)
     return word
 
@@ -188,7 +198,7 @@ def longest_element(rs: RootSystem) -> Matrix:
     heights = [1] * rs.rank
     word = _greedy_walk(rs, heights)
     assert all(h < 0 for h in heights)
-    return evaluate_word(rs, word)
+    return _unpack(_word_columns(rs, word))
 
 
 class LongestClassification(_Record):
@@ -221,7 +231,7 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     back to m."""
     m = _check_shape(rs.rank, m)
     word = tuple(reversed(_greedy_walk(rs, [-sum(col) for col in zip(*m)])))
-    if evaluate_word(rs, word) != m:
+    if _unpack(_word_columns(rs, word)) != m:
         raise ValueError("matrix is not a Weyl group element")
     return word
 

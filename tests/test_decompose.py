@@ -5,6 +5,7 @@ import pytest
 
 import weyldecomp.decompose as decompose
 from weyldecomp import (
+    Decomposition,
     DimensionMismatch,
     NoRelation,
     NotARoot,
@@ -184,6 +185,24 @@ def test_verify_refuses_a_value_that_is_not_a_decomposition():
     for dec in (5, None, canonical_decomposition(a3).roots):
         with pytest.raises(DimensionMismatch, match="is not a Decomposition"):
             verify_decomposition(a3, dec)
+
+
+def test_a_decomposition_of_values_that_are_not_factors_is_refused():
+    # verify_decomposition and product() once raised AttributeError or
+    # TypeError reading the roots of such a record.
+    a3 = system("A3")
+    refused = {
+        (5,): "factor 5 is not a DecompositionFactor",
+        ((1, 0, 0),): r"factor \(1, 0, 0\) is not a DecompositionFactor",
+        5: "factor list 5 is not a sequence",
+        None: "factor list None is not a sequence",
+    }
+    for factors, message in refused.items():
+        dec = Decomposition(a3, factors)
+        with pytest.raises(DimensionMismatch, match=message):
+            verify_decomposition(a3, dec)
+        with pytest.raises(DimensionMismatch, match=message):
+            dec.product()
 
 
 def test_factor_counts_formula():

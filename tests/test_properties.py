@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weyldecomp import (
     ConjugationCase,
+    Decomposition,
     WeylError,
     apply_matrix,
     cartan_integer,
@@ -219,7 +220,16 @@ _ARGUMENTS = {
         st.integers(1, 3),
     ),
 }
-_RECORDS = {"decomposition", "case"}
+# What replaces a record: 5 and None, and for a Decomposition also records
+# whose factors are not a sequence of DecompositionFactor records.
+_RECORDS = {
+    "decomposition": lambda rs: [
+        5,
+        None,
+        *(Decomposition(rs, junk) for junk in (5, None, (5,), (None,), (rs.positive_roots[0],))),
+    ],
+    "case": lambda rs: [5, None],
+}
 
 # (function, whether it takes the system first, its other arguments' kinds)
 _BOUNDARY = [
@@ -272,8 +282,9 @@ def _outcome(f, args):
 def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     # Lists are read as tuples and bools as 0 and 1; float and str entries,
     # wrong lengths, ragged rows, an argument that is not a sequence (5,
-    # None) and 5 or None in place of a record (a Decomposition, a
-    # ConjugationCase) raise a WeylError.  An answer is compared by repr, so
+    # None), 5 or None in place of a record (a Decomposition, a
+    # ConjugationCase) and a Decomposition of values that are not factors
+    # raise a WeylError.  An answer is compared by repr, so
     # a float that equals its int does not pass for it.  The checks raise
     # AssertionError explicitly, so python -O keeps them.
     rs = data.draw(st.sampled_from(["A3", "B3", "C3", "D4", "G2"]).map(system))
@@ -282,8 +293,11 @@ def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     head = [rs] if takes_system else []
     expected = repr(_outcome(f, head + args))
     for k, kind in enumerate(kinds):
-        rewrites = [] if kind in _RECORDS else [_rewritten(args[k], how) for how in _ENTRY]
-        for arg in [*rewrites, 5, None]:
+        if kind in _RECORDS:
+            replacements = _RECORDS[kind](rs)
+        else:
+            replacements = [*(_rewritten(args[k], how) for how in _ENTRY), 5, None]
+        for arg in replacements:
             changed = args[:k] + [arg] + args[k + 1 :]
             got = _outcome(f, head + changed)
             if not isinstance(got, WeylError) and repr(got) != expected:

@@ -1,6 +1,7 @@
 """Root-system construction, pairings, parabolic subsystems, dominance."""
 from __future__ import annotations
 
+import random
 from operator import mul
 
 import pytest
@@ -27,6 +28,7 @@ from weyldecomp import (
     system,
 )
 from weyldecomp.rootsys import (
+    _components,
     _coroot,
     _diagram_bijection,
     _gram2_for,
@@ -41,6 +43,7 @@ from util import (
     FULL_SWEEP,
     POSITIVE_ROOT_COUNT,
     SUPPORTED,
+    dense_components,
     dense_pairing2,
     exhaustive_diagram_bijection,
     tuple_positive_roots,
@@ -556,3 +559,19 @@ def test_coroot_of_every_root_and_its_negative_matches_the_dense_gram_form():
         for r in rs.positive_roots:
             assert _coroot(rs.gram2, r) == _expected_coroot(rs, r), (t, r)
             assert _coroot(rs.gram2, negate(r)) == _expected_coroot(rs, negate(r)), (t, r)
+
+
+def test_components_match_the_dense_gram_search():
+    # Every subset of the nodes up to rank 8, in any order, and random
+    # subsets at rank 64, where the forks and double bonds sit at the end.
+    for t in FULL_SWEEP:
+        rs = system(t)
+        for mask in range(1 << rs.rank):
+            nodes = [i for i in range(rs.rank, 0, -1) if mask >> (i - 1) & 1]
+            assert _components(rs, nodes) == dense_components(rs, nodes), (t, nodes)
+    for t in ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        rng = random.Random(t)
+        for _ in range(200):
+            nodes = rng.sample(range(1, 65), rng.randint(0, 64))
+            assert _components(rs, nodes) == dense_components(rs, nodes), (t, nodes)

@@ -35,7 +35,7 @@ from weyldecomp import (
     system,
 )
 from weyldecomp.rootsys import _two_rho, negate
-from weyldecomp.weyl import _group_order, reflection_product
+from weyldecomp.weyl import _greedy_walk, _group_order, reflection_product
 
 from util import (
     FULL_SWEEP,
@@ -46,6 +46,7 @@ from util import (
     full_sweep_reduced_word_count,
     generate_group,
     reference_descents,
+    reference_greedy_walk,
     reference_longest_element,
     reference_reduced_word,
     syt_count,
@@ -659,6 +660,44 @@ def test_longest_element_and_its_word_match_the_reference_walk():
         w0 = longest_element(rs)
         assert w0 == reference_longest_element(rs), t
         assert reduced_word_of(rs, w0) == reference_reduced_word(rs, w0), t
+
+
+@pytest.mark.parametrize("t", ["A64", "B64", "C64", "D64"])
+def test_longest_element_matches_the_reference_walk_at_rank_64(t):
+    rs = system(t)
+    assert longest_element(rs) == reference_longest_element(rs), t
+
+
+def test_reduced_words_of_random_elements_match_the_reference_walk():
+    # Elements reached by random words of up to N letters on every type of
+    # the sweep, where the exhaustive test above covers five small types.
+    for t in FULL_SWEEP:
+        rs = system(t)
+        rng = random.Random(t)
+        for _ in range(6):
+            letters = rng.choices(range(1, rs.rank + 1), k=rng.randint(0, len(rs.positive_roots)))
+            m = evaluate_word(rs, letters)
+            assert reduced_word_of(rs, m) == reference_reduced_word(rs, m), (t, letters)
+
+
+def test_greedy_walk_matches_the_linear_scan_reference():
+    # Any set of allowed letters, connected or not, from the column heights
+    # of a random element and from arbitrary heights, which the step cap
+    # ends when they never run out of positive entries.
+    for t in FULL_SWEEP + ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        rng = random.Random(t)
+        nodes = range(1, rs.rank + 1)
+        for _ in range(8 if rs.rank <= 8 else 2):
+            J = sorted(rng.sample(nodes, rng.randint(0, rs.rank)))
+            m = evaluate_word(rs, rng.choices(nodes, k=rng.randint(0, 2 * rs.rank)))
+            starts = [[1] * rs.rank, [sum(col) for col in zip(*m)]]
+            starts.append([rng.randint(-3, 3) for _ in nodes])
+            for letters in (None, J):
+                for start in starts:
+                    heights = list(start)
+                    word = _greedy_walk(rs, heights, letters)
+                    assert (word, heights) == reference_greedy_walk(rs, start, letters), (t, J)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ from weyldecomp import (
 from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
     _combination,
-    _components,
     _coroot,
     _dot,
     _highest_by_support,
@@ -233,19 +232,68 @@ def reference_descents(rs: RootSystem, m) -> list[int]:
     return [i for i, col in enumerate(columns, 1) if not sends_positive(col)]
 
 
+def _cartan_integer(rs: RootSystem, j: int, i: int) -> int:
+    """<a_j, a_i-check> = 2 g_ji / g_ii from the dense doubled Gram matrix
+    (0-based nodes), exact."""
+    c, rem = divmod(2 * rs.gram2[j][i], rs.gram2[i][i])
+    if rem:
+        raise AssertionError(f"Cartan integer <a_{j + 1}, a_{i + 1}-check> is not exact")
+    return c
+
+
 def reference_longest_element(rs: RootSystem) -> Matrix:
     """Reference for ``longest_element``: rescan every column at every step,
-    and multiply on the right by the dense simple reflection of the smallest
+    and multiply on the right by the simple reflection of the smallest
     index that is still sent positive, as many times as there are positive
-    roots."""
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    m = identity_matrix(rs.rank)
+    roots.  m.s_i is taken by the definition s_i(a_j) = a_j - <a_j, a_i-check>
+    a_i: column j of m.s_i is col_j - <a_j, a_i-check> col_i, with every
+    Cartan integer read from the dense Gram matrix."""
+    cols = list(identity_matrix(rs.rank))
     for _ in range(len(rs.positive_roots)):
-        i = next(j for j, col in enumerate(zip(*m)) if sends_positive(col))
-        m = compose(m, gens[i])
-    if any(sends_positive(col) for col in zip(*m)):
+        i = next(j for j, col in enumerate(cols) if sends_positive(col))
+        col_i = cols[i]
+        for j in range(rs.rank):
+            if c := _cartan_integer(rs, j, i):
+                cols[j] = tuple(x - c * y for x, y in zip(cols[j], col_i))
+    if any(sends_positive(col) for col in cols):
         raise AssertionError("the greedy walk left a simple root positive")
-    return m
+    return tuple(zip(*cols))
+
+
+def reference_greedy_walk(rs: RootSystem, heights, letters=None) -> tuple[list[int], list[int]]:
+    """Reference for ``weyl._greedy_walk``: at every step rescan the allowed
+    nodes in ascending order for the first positive height, and update every
+    height by h_j -= <a_j, a_i-check> h_i with the Cartan integers of the
+    dense Gram matrix, for at most as many steps as there are positive roots.
+    Returns the letters and the final heights."""
+    heights = list(heights)
+    nodes = range(1, rs.rank + 1) if letters is None else sorted(letters)
+    cartan = [[_cartan_integer(rs, j, i) for j in range(rs.rank)] for i in range(rs.rank)]
+    word: list[int] = []
+    for _ in range(len(rs.positive_roots)):
+        i = next((k for k in nodes if heights[k - 1] > 0), None)
+        if i is None:
+            break
+        h_i = heights[i - 1]
+        heights = [h - c * h_i for h, c in zip(heights, cartan[i - 1])]
+        word.append(i)
+    return word, heights
+
+
+def dense_components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
+    """Reference for ``rootsys._components``: breadth-first search that scans
+    the whole dense Gram row of every node it visits for nonzero entries;
+    the components ascending, ordered by their smallest index."""
+    rest = sorted(set(indices))
+    components = []
+    while rest:
+        seen = [rest.pop(0)]
+        for i in seen:
+            linked = [j for j in rest if rs.gram2[i - 1][j - 1] != 0]
+            rest = [j for j in rest if j not in linked]
+            seen.extend(linked)
+        components.append(tuple(sorted(seen)))
+    return components
 
 
 def reference_reduced_word(rs: RootSystem, m) -> tuple[int, ...]:
@@ -448,7 +496,7 @@ def embedded_recursion_roots(rs: RootSystem) -> tuple[list[Root], list[Root]]:
     then the highest root of each other component."""
     theta = rs.highest_root
     simple = identity_matrix(rs.rank)
-    perp = _components(rs, [i for i, a in enumerate(simple, 1) if pairing2(rs, a, theta) == 0])
+    perp = dense_components(rs, [i for i, a in enumerate(simple, 1) if pairing2(rs, a, theta) == 0])
     J = max(perp, key=len)
     inner, index_map = parabolic_embedding(rs, J)
     word = reduced_word_of(inner, longest_element(inner))
