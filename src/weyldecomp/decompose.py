@@ -182,7 +182,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     if not isinstance(dec, Decomposition):
         raise DimensionMismatch(f"decomposition {dec!r} is not a Decomposition")
     roots = [_root(rs, r) for r in dec.roots]
-    rows = [_coroot(rs.gram2, x) for x in roots]
+    rows = [_coroot(rs, x) for x in roots]
     orthogonal = all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
 
     top = _highest_by_support(rs)
@@ -213,7 +213,7 @@ def _largest_compatible_sets(rs: RootSystem, pool, region: int) -> list[tuple[Ro
     starting: list[list] = [[] for _ in range(rs.rank)]
     for root, S in pool:
         mask = sum(1 << (i - 1) for i in S)
-        linked = sum(1 << j for j, _ in _coroot(rs.gram2, root))
+        linked = sum(1 << j for j, _ in _coroot(rs, root))
         starting[S[0] - 1].append((root, mask, mask | linked, mask & ~linked))
 
     @lru_cache(maxsize=None)

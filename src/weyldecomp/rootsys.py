@@ -129,8 +129,13 @@ class RootSystemType(_Record):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        fam, n = self.family, self.rank
-        admissible = (
+        try:  # read as ``_integers`` reads entries: a bool rank becomes its int
+            n = index(self.rank)
+        except TypeError:
+            raise InvalidType(f"root-system rank {self.rank!r} is not an integer") from None
+        object.__setattr__(self, "rank", n)
+        fam = self.family
+        admissible = isinstance(fam, str) and (
             (fam in _MIN_RANK and n >= _MIN_RANK[fam])
             or (fam == "E" and n in (6, 7, 8))
             or (fam == "F" and n == 4)
@@ -145,7 +150,7 @@ class RootSystemType(_Record):
 
 def parse_type(text: str) -> RootSystemType:
     """Parse a type string such as ``"F4"`` or ``"A5"`` into a RootSystemType."""
-    fam, digits = text[:1], text[1:]
+    fam, digits = (text[:1], text[1:]) if isinstance(text, str) else ("", "")
     if fam not in "ABCDEFG" or not (digits.isascii() and digits.isdigit()):
         raise InvalidType(f"cannot parse root-system type {text!r}")
     return RootSystemType(fam, int(digits))
@@ -223,21 +228,21 @@ def _gram2_for(t: RootSystemType) -> Matrix:
     return tuple(map(tuple, g))
 
 
-def _combination(vectors, a: Root) -> Root:
-    """The sum of a_k * vectors[k] over the support of a: M a from the
-    columns of M, and G a from the rows of the symmetric Gram matrix G."""
-    total = (0,) * len(vectors[0])
-    for k in compress(range(len(a)), a):
-        total = _sub_multiple(total, -a[k], vectors[k])
-    return total
+def _gram_product(rs: RootSystem, a: Root) -> list[int]:
+    """G a, the doubled Gram matrix times a.  Row i of G is gram2[i][i] / 2
+    times the sparse coroot of a_i, so the cost is the degrees of a's support."""
+    ga, g = [0] * len(a), rs.gram2
+    for i in compress(range(len(a)), a):
+        m = a[i] * g[i][i] // 2
+        for j, c in rs.simple_coroots[i]:
+            ga[j] += m * c
+    return ga
 
 
-def _coroot(gram2: Matrix, a: Root) -> SparseRow:
-    """The coroot of a root a in the basis dual to the simple roots: the
-    Cartan integers c_j = <a_j, a-check> = 2*(a_j, a)/(a, a), kept as the
-    (j, c_j) pairs of the nonzero ones.  G a is the sum of the Gram rows on
-    a's support, so a simple root costs one row read."""
-    ga = _combination(gram2, a)
+def _coroot(rs: RootSystem, a: Root) -> SparseRow:
+    """The coroot of a root a in the basis dual to the simple roots, as the
+    (j, c_j) pairs of the nonzero c_j = <a_j, a-check> = 2 (G a)_j / (a, G a)."""
+    ga = _gram_product(rs, a)
     den = _dot(a, ga)
     row = []
     for j in compress(range(len(ga)), ga):
@@ -248,9 +253,11 @@ def _coroot(gram2: Matrix, a: Root) -> SparseRow:
 
 
 def _simple_coroots(gram2: Matrix) -> tuple[SparseRow, ...]:
-    """The coroots of the simple roots.  Row i is nonzero only at i and its
-    Dynkin neighbours, at most four entries."""
-    return tuple(_coroot(gram2, a) for a in identity_matrix(len(gram2)))
+    """The simple coroots, c_ij = 2 g_ij / g_ii read off Gram row i (exact by
+    the bond rule): nonzero only at i and its Dynkin neighbours, at most four."""
+    return tuple(
+        tuple((j, 2 * g // row[i]) for j, g in enumerate(row) if g) for i, row in enumerate(gram2)
+    )
 
 
 def _pair(x: Root, row: SparseRow) -> int:
@@ -426,10 +433,8 @@ def pairing2(rs: RootSystem, x: Root, y: Root) -> int:
 
 
 def _pairing2(rs: RootSystem, x: Root, y: Root) -> int:
-    """``pairing2`` on checked integer vectors.  Gram row i is gram2[i][i] / 2
-    times the sparse coroot row of a_i."""
-    rows, g = rs.simple_coroots, rs.gram2
-    return sum(x[i] * (g[i][i] // 2) * _pair(y, rows[i]) for i in compress(range(len(x)), x))
+    """``pairing2`` on checked integer vectors: y against G x."""
+    return _dot(_gram_product(rs, x), y)
 
 
 def _two_rho(rs: RootSystem) -> Root:
@@ -441,7 +446,7 @@ def _two_rho(rs: RootSystem) -> Root:
 def cartan_integer(rs: RootSystem, x: Root, a: Root) -> int:
     """The integer 2*(a, x)/(a, a) for a root ``a`` and lattice vector ``x``."""
     a, x = _root(rs, a), _vector(rs.rank, x)
-    return _pair(x, _coroot(rs.gram2, a))
+    return _pair(x, _coroot(rs, a))
 
 
 def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:

@@ -106,7 +106,7 @@ def _reflection_columns(rs: RootSystem, roots) -> list[int]:
             i = r.index(1)
             v, row = cols[i], rs.simple_coroots[i]
         else:
-            v, row = sum(map(mul, r, cols)), _coroot(rs.gram2, r)
+            v, row = sum(map(mul, r, cols)), _coroot(rs, r)
         for j, c in row:
             cols[j] -= c * v
     return cols

@@ -78,7 +78,7 @@ def _reflect(x: Root, r: Root, coroot: SparseRow) -> Root:
 def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:
     """The positive root r with s_delta . s_tau . s_delta == s_r."""
     delta, tau = _root(rs, delta), _root(rs, tau)
-    return positive_representative(rs, _reflect(tau, delta, _coroot(rs.gram2, delta)))
+    return positive_representative(rs, _reflect(tau, delta, _coroot(rs, delta)))
 
 
 class ConjugationCase(_Record):
@@ -221,7 +221,7 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     if (total := len(roots) * (len(roots) - 1)) > _PAIR_BOUND:
         message = f"identity sweep of {rs.type} needs {total} pairs"
         raise TooLarge(f"{message}, over the bound of {_PAIR_BOUND}")
-    coroots = [_coroot(rs.gram2, r) for r in roots]
+    coroots = [_coroot(rs, r) for r in roots]
     two_rho = _two_rho(rs)
     moved = [_reflect(two_rho, r, row) for r, row in zip(roots, coroots)]
     image = [_pack(y, 4) for y in moved]

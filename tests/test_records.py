@@ -20,7 +20,7 @@ from weyldecomp.decompose import (
     ParabolicTower,
     VerificationReport,
 )
-from weyldecomp.rootsys import RootSystem, RootSystemType
+from weyldecomp.rootsys import RootSystem, RootSystemType, build_root_system, parse_type
 from weyldecomp.weyl import LongestClassification, classify_longest
 from weyldecomp.words import ConjugationCase, classify_conjugation
 
@@ -156,6 +156,26 @@ def test_root_system_type_validates():
     with pytest.raises(InvalidType):
         RootSystemType(family="E", rank=5)
     assert str(RootSystemType("E", 8)) == "E8"
+
+
+def test_a_rank_is_read_as_an_int_and_a_type_text_as_a_str_or_refused():
+    # A bool rank once stayed a bool: RootSystemType("A", True) equals and
+    # hashes as A1, so the system built for it, printed as ATrue with rank
+    # True, was the one system("A1") then returned from the cache.
+    t = RootSystemType("A", True)
+    assert type(t.rank) is int and t == RootSystemType("A", 1) and str(t) == "A1"
+    assert type(build_root_system(t).rank) is int
+    bad = [
+        lambda: RootSystemType("B", 3.0),
+        lambda: RootSystemType("A", "3"),
+        lambda: RootSystemType(["A"], 3),
+        lambda: parse_type(5),
+        lambda: parse_type(b"A3"),
+        lambda: system(None),
+    ]
+    for make in bad:
+        with pytest.raises(InvalidType):
+            make()
 
 
 def test_the_library_returns_these_records():

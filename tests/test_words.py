@@ -203,7 +203,7 @@ def test_rank_one_reflection_equals_the_reflection_matrix():
         two_rho = _two_rho(rs)
         for r in rs.positive_roots:
             expected = apply_matrix(reflection_of(rs, r), two_rho)
-            assert words._reflect(two_rho, r, _coroot(rs.gram2, r)) == expected, (t, r)
+            assert words._reflect(two_rho, r, _coroot(rs, r)) == expected, (t, r)
 
 
 def test_lambda_v_identity_examples():

@@ -31,8 +31,6 @@ from weyldecomp import (
 )
 from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
-    _combination,
-    _coroot,
     _dot,
     _highest_by_support,
     _pair,
@@ -152,9 +150,24 @@ def tuple_positive_roots(rs: RootSystem) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def dense_coroot(gram2: Matrix, r) -> tuple:
+    """Reference for ``rootsys._coroot``: the nonzero c_j = 2 (a_j, r) / (r, r)
+    as (j, c_j) pairs, from the dense doubled Gram matrix alone, G r read row
+    by row; each an exact division."""
+    gr = [sum(map(mul, row, r)) for row in gram2]
+    den = sum(map(mul, r, gr))
+    pairs = []
+    for j, g in enumerate(gr):
+        q, rem = divmod(2 * g, den)
+        assert rem == 0, (r, j)
+        if q:
+            pairs.append((j, q))
+    return tuple(pairs)
+
+
 def coroot_table(rs: RootSystem) -> dict[Root, tuple]:
-    """The coroot ``_coroot(rs.gram2, r)`` of every positive root r."""
-    return {r: _coroot(rs.gram2, r) for r in rs.positive_roots}
+    """The coroot ``dense_coroot(rs.gram2, r)`` of every positive root r."""
+    return {r: dense_coroot(rs.gram2, r) for r in rs.positive_roots}
 
 
 def full_sweep_reduced_word_count(rs: RootSystem, m: Matrix) -> int:
@@ -178,14 +191,14 @@ def exhaustive_diagram_bijection(gram2: Matrix, outer: RootSystem, nodes: tuple[
     smallest map p -> nodes[...] under which the Cartan integers of ``gram2``
     match those of ``outer``, as a tuple, or None.  Every free node is tried
     for every position, in ascending order, against the dense Cartan rows,
-    expanded from the sparse ``_coroot(gram2, a_i)``, so the first complete
-    map is the smallest."""
+    expanded from the sparse ``dense_coroot(gram2, a_i)``, so the first
+    complete map is the smallest."""
 
     def cartan_rows(g: Matrix) -> list[list[int]]:
         n = len(g)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            for j, c in _coroot(g, tuple(int(j == i) for j in range(n))):
+            for j, c in dense_coroot(g, tuple(int(j == i) for j in range(n))):
                 rows[i][j] = c
         return rows
 
@@ -332,7 +345,8 @@ def tuple_reflection_product(rs: RootSystem, roots) -> Matrix:
             i = r.index(1)
             _tuple_right_reflect(cols, cols[i], rs.simple_coroots[i])
         else:
-            _tuple_right_reflect(cols, _combination(cols, r), _coroot(rs.gram2, r))
+            v = tuple(sum(map(mul, r, entries)) for entries in zip(*cols))
+            _tuple_right_reflect(cols, v, dense_coroot(rs.gram2, r))
     return tuple(zip(*cols))
 
 
@@ -531,7 +545,7 @@ def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     coroots = coroot_table(rs)
     two_rho = _two_rho(rs)
     moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
-    gram_row = {r: _combination(rs.gram2, r) for r in roots}
+    gram_row = {r: tuple(sum(map(mul, row, r)) for row in rs.gram2) for r in roots}
     pairs = 0
     named = 0
     for a in roots:
