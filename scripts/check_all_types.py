@@ -1,0 +1,90 @@
+"""The headline results on every supported type, in one process.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python3 scripts/check_all_types.py
+
+For each of the 257 types that ``build_root_system`` accepts (ranks up to
+64) it checks that:
+
+- ``verify_decomposition`` passes all five checks on the canonical
+  decomposition;
+- the cross-rank recursion holds, or is refused with ``NoRelation``: 248
+  and 9 types;
+- the uniqueness search with its guard lifted finds exactly one
+  decomposition, equal as a set to the canonical roots (the search lists
+  simple factors in another order);
+- the sha256 of ``json.dumps(list(cli.run(["export", "--type", T])))``
+  equals the digest recorded in ``tests/fixtures/all_types_export_digests.json``.
+
+It prints its CPU time and peak RSS, and exits 1 naming the types that fail.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import resource
+import sys
+from collections import Counter
+from pathlib import Path
+
+from weyldecomp import (
+    NoRelation,
+    canonical_decomposition,
+    cli,
+    enumerate_max_orthogonal,
+    recursion_relation_check,
+    system,
+    verify_decomposition,
+)
+
+TYPES = (
+    [f"A{n}" for n in range(1, 65)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 65)]
+    + [f"D{n}" for n in range(3, 65)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+DIGESTS = Path(__file__).parents[1] / "tests" / "fixtures" / "all_types_export_digests.json"
+
+
+def failures(t: str, digest: str, recursion: Counter) -> list[str]:
+    """The checks t fails; counts its recursion outcome in ``recursion``."""
+    rs = system(t)
+    canonical = canonical_decomposition(rs)
+    failed = [] if verify_decomposition(rs, canonical).all_ok() else ["verify"]
+    try:
+        holds = recursion_relation_check(rs)
+    except NoRelation:
+        holds = "NoRelation"
+    recursion[holds] += 1
+    if holds is False:
+        failed.append("recursion")
+    found = enumerate_max_orthogonal(rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots))
+    if len(found) != 1 or set(found[0].roots) != set(canonical.roots):
+        failed.append(f"uniqueness ({len(found)} found)")
+    export = json.dumps(list(cli.run(["export", "--type", t]))).encode()
+    if hashlib.sha256(export).hexdigest() != digest:
+        failed.append("export digest")
+    return failed
+
+
+def main() -> int:
+    digests = json.loads(DIGESTS.read_text())
+    if len(TYPES) != 257 or sorted(digests) != sorted(TYPES):
+        raise SystemExit(f"{DIGESTS} does not hold one digest per supported type")
+    recursion: Counter = Counter()
+    failed = {t: f for t in TYPES if (f := failures(t, digests[t], recursion))}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(
+        f"{len(TYPES)} types, recursion {dict(recursion)}: "
+        f"{usage.ru_utime + usage.ru_stime:.1f} s CPU, peak RSS {usage.ru_maxrss / 1024:.0f} MB"
+    )
+    if recursion != Counter({True: 248, "NoRelation": 9}):
+        failed["recursion"] = [f"{dict(recursion)}, not 248 True and 9 NoRelation"]
+    for t, what in failed.items():
+        print(f"{t}: {', '.join(what)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

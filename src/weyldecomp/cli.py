@@ -80,15 +80,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _compact(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
 def _render_json(value, indent: int) -> str:
     """Deterministic pretty-printing: any value whose compact form is short
     stays on one line (so coefficient vectors read as ``[0,1,2,0]``), longer
     containers expand one level at two-space indentation."""
-    flat = _compact(value)
+    flat = json.dumps(value, separators=(",", ":"))
     if not isinstance(value, (dict, list)) or (indent > 0 and len(flat) <= 80):
         return flat
     pad = " " * indent
@@ -228,30 +224,22 @@ def _cmd_count_words(rs, ns) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_check_identities(rs, ns) -> tuple[int, dict, list[str]]:
-    checks: dict[str, bool] = {}
-    lines: list[str] = []
     try:
         ok, pairs, named = _conjugation_suite(rs)
     except TooLarge as exc:
         # refused before any pair is checked: a usage error, as a rank over 64 is
         raise _Stop(2, "", f"error: {exc}\n") from None
-    checks["conjugation"] = ok
-    lines.append(
-        f"conjugation identities: {'PASS' if ok else 'FAIL'} "
-        f"({pairs} pairs, {named} named cases)"
-    )
+    detail = f" ({pairs} pairs, {named} named cases)"
+    suites = [("conjugation", "conjugation identities", ok, detail)]
     if rs.family == "A" and rs.rank >= 2:
         ok, checked = _interval_suite(rs)
-        checks["intervals"] = ok
-        lines.append(f"interval identities: {'PASS' if ok else 'FAIL'} ({checked} pairs)")
+        suites.append(("intervals", "interval identities", ok, f" ({checked} pairs)"))
     if rs.family in ("B", "C"):
-        ok = _frame_suite(rs)
-        checks["coordinate_frame"] = ok
-        lines.append(f"coordinate-frame factorization: {'PASS' if ok else 'FAIL'}")
+        suites.append(("coordinate_frame", "coordinate-frame factorization", _frame_suite(rs), ""))
     if rs.family == "D" and rs.rank >= 4:
-        ok = dn_orthogonality_pattern(rs)
-        checks["cross_pairing"] = ok
-        lines.append(f"cross-pairing parity: {'PASS' if ok else 'FAIL'}")
+        suites.append(("cross_pairing", "cross-pairing parity", dn_orthogonality_pattern(rs), ""))
+    checks = {key: ok for key, _, ok, _ in suites}
+    lines = [f"{label}: {'PASS' if ok else 'FAIL'}{detail}" for _, label, ok, detail in suites]
     all_ok = all(checks.values())
     lines.append(f"result: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1, {"type": str(rs.type), "checks": checks, "ok": all_ok}, lines

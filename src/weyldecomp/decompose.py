@@ -27,12 +27,14 @@ from .rootsys import (
     _Record,
     _components,
     _coroot,
+    _dot,
+    _gram_product,
     _highest_by_support,
     _integers,
     _pair,
-    _pairing2,
     _root,
     _sequence,
+    _support,
     identity_matrix,
     support,
 )
@@ -132,7 +134,7 @@ def _simple_factor_key(rs: RootSystem):
     lead = {"B": rs.rank, "D": rs.rank - 1}.get(rs.family, rs.rank + 1)
 
     def key(root: Root) -> tuple[bool, int]:
-        (i,) = support(root)
+        i = root.index(1) + 1
         return (i < lead, i if i < lead else -i)
 
     return key
@@ -186,7 +188,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     orthogonal = all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
 
     top = _highest_by_support(rs)
-    highest_ok = all(top[support(r)] == r for r in roots)
+    highest_ok = all(top[_support(r)] == r for r in roots)
 
     non_simple = [r for r in roots if sum(r) > 1]
     chain_ok = all(
@@ -204,12 +206,11 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
     )
 
 
-def _largest_compatible_sets(rs: RootSystem, pool, region: int) -> list[tuple[Root, ...]]:
-    """The largest compatible sets of the (root, support) pairs in ``pool``
-    inside ``region``, a bitmask with bit i - 1 for node i, by the split of
-    enumerate_max_orthogonal.  A root's coroot is nonzero exactly on the
-    nodes of its support it is not orthogonal to and on the support's
-    neighbours."""
+def _largest_compatible_sets(rs: RootSystem, pool) -> list[tuple[Root, ...]]:
+    """The largest compatible sets of the (root, support) pairs in ``pool``, by
+    enumerate_max_orthogonal's split of the diagram into regions (bitmasks,
+    bit i - 1 for node i).  A root's coroot is nonzero exactly on the nodes
+    of its support it is not orthogonal to and on the support's neighbours."""
     starting: list[list] = [[] for _ in range(rs.rank)]
     for root, S in pool:
         mask = sum(1 << (i - 1) for i in S)
@@ -240,7 +241,7 @@ def _largest_compatible_sets(rs: RootSystem, pool, region: int) -> list[tuple[Ro
             for rests in product(*(expand(*sub) for sub in subs))
         ]
 
-    return expand(region, True)
+    return expand((1 << rs.rank) - 1, True)
 
 
 def _negated_pool(rs: RootSystem) -> list[tuple[Root, tuple[int, ...]]]:
@@ -299,6 +300,7 @@ def enumerate_max_orthogonal(
     Refuses systems that are large in both rank and root count: allowed when
     rank <= rank_bound or the positive root count is <= size_bound.
     """
+    rank_bound, size_bound = _integers([rank_bound, size_bound], "search bounds")
     npos = len(rs.positive_roots)
     if rs.rank > rank_bound and npos > size_bound:
         raise TooLarge(
@@ -307,7 +309,7 @@ def enumerate_max_orthogonal(
         )
     w0 = longest_element(rs)
     d = _minus_one_dimension(rs)
-    largest = _largest_compatible_sets(rs, _negated_pool(rs), (1 << rs.rank) - 1)
+    largest = _largest_compatible_sets(rs, _negated_pool(rs))
     results = [roots for roots in largest if len(roots) == d]
     for roots in results:
         if reflection_product(rs, roots) != w0:
@@ -400,9 +402,8 @@ def epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
     """
     if rs.family not in ("B", "C"):
         raise WrongFamily(f"coordinate-frame factorization needs B or C, not {rs.type}")
-    a_n = rs.simple_root(rs.rank)
-    frame = _pairing2(rs, a_n, a_n)
-    return tuple(r for r in reversed(rs.positive_roots) if _pairing2(rs, r, r) == frame)
+    frame = rs.gram2[-1][-1]
+    return tuple(r for r in reversed(rs.positive_roots) if _dot(r, _gram_product(rs, r)) == frame)
 
 
 def dn_orthogonality_pattern(rs: RootSystem) -> bool:
@@ -416,7 +417,7 @@ def dn_orthogonality_pattern(rs: RootSystem) -> bool:
         raise WrongFamily(f"pattern is defined for D with rank >= 4, not {rs.type}")
     chains = [f.root for f in canonical_decomposition(rs).factors if f.kind == "highest"]
     for i in range(1, rs.rank - 2):
-        hits = sum(1 for r in chains if _pairing2(rs, rs.simple_root(i), r) != 0)
+        hits = sum(1 for r in chains if _pair(r, rs.simple_coroots[i - 1]) != 0)
         expected = 2 if i % 2 == 0 else 0
         if hits != expected:
             return False

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, index, mul, sub
+from itertools import compress
+from operator import add, index, mul
 
 from .errors import (
     DimensionMismatch,
@@ -297,15 +297,6 @@ def _dot(x: Root, y: Root) -> int:
     return sum(map(mul, x, y))
 
 
-def _sub_multiple(x: Root, c: int, v: Root) -> Root:
-    """x - c*v, one C-level map over the two vectors."""
-    if c == 1:
-        return tuple(map(sub, x, v))
-    if c == -1:
-        return tuple(map(add, x, v))
-    return tuple(map(sub, x, map(mul, repeat(c), v)))
-
-
 def _bias(count: int, width: int) -> int:
     """Half a lane's range, 2**(8*width-1), in each of ``count`` lanes."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -420,7 +411,12 @@ def is_root(rs: RootSystem, x: Root) -> bool:
 
 def support(x: Root) -> tuple[int, ...]:
     """The 1-based indices of the nonzero coefficients of x, ascending."""
-    return tuple(i for i, c in enumerate(_integers(x, "vector"), 1) if c)
+    return _support(_integers(x, "vector"))
+
+
+def _support(x: Root) -> tuple[int, ...]:
+    """``support`` of an int tuple that its caller built or checked."""
+    return tuple(compress(range(1, len(x) + 1), x))
 
 
 def height(x: Root) -> int:
@@ -488,7 +484,7 @@ def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
 
 def _connected_index_set(rs: RootSystem, J) -> tuple[int, ...]:
     indices = _index_set(rs, J)
-    if not is_connected(rs, indices):  # the empty set included
+    if len(_components(rs, indices)) != 1:  # the empty set included
         raise DisconnectedSubset(f"index set {list(indices)} is not connected in {rs.type}")
     return indices
 
@@ -509,8 +505,7 @@ def _highest_by_support(rs: RootSystem) -> dict[tuple[int, ...], Root]:
     computed once per system: every root has a connected support, and the
     highest root of a connected parabolic has full support, so it is the
     last root listed with it."""
-    nodes = range(1, rs.rank + 1)
-    return {tuple(compress(nodes, r)): r for r in rs.positive_roots}
+    return {_support(r): r for r in rs.positive_roots}
 
 
 def dominance_leq(x: Root, y: Root) -> bool:

@@ -275,6 +275,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     order above the bound is refused at once.
     """
     m = _check_shape(rs.rank, m)
+    (state_bound,) = _integers([state_bound], "state bound")
     longest = m == longest_element(rs)
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(

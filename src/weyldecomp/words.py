@@ -29,7 +29,8 @@ VM.
 """
 from __future__ import annotations
 
-from operator import index
+from itertools import repeat
+from operator import index, mul, sub
 
 from .errors import BadRange, DimensionMismatch, NotARoot, Orthogonal, Proportional, TooLarge
 from .rootsys import (
@@ -44,7 +45,6 @@ from .rootsys import (
     _pairing2,
     _root,
     _sparse_columns,
-    _sub_multiple,
     _two_rho,
     identity_matrix,
     negate,
@@ -72,7 +72,7 @@ def positive_representative(rs: RootSystem, x: Root) -> Root:
 def _reflect(x: Root, r: Root, coroot: SparseRow) -> Root:
     """s_r(x) = x - <x, r-check> r, given the coroot of r."""
     c = _pair(x, coroot)
-    return _sub_multiple(x, c, r) if c else x
+    return tuple(map(sub, x, map(mul, repeat(c), r))) if c else x
 
 
 def conjugated_root(rs: RootSystem, delta: Root, tau: Root) -> Root:

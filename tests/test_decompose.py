@@ -361,7 +361,7 @@ def test_largest_compatible_sets_of_the_unfiltered_pool():
     for t in types:
         rs = system(t)
         pool = [(r, S) for S, r in _highest_by_support(rs).items()]
-        found = _largest_compatible_sets(rs, pool, (1 << rs.rank) - 1)
+        found = _largest_compatible_sets(rs, pool)
         sets = {frozenset(roots) for roots in found}
         assert len(sets) == len(found), t
         assert sets == brute_force_largest_compatible_sets(rs, [r for r, _ in pool]), t

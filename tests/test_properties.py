@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyldecomp import (
     ConjugationCase,
     Decomposition,
+    DimensionMismatch,
     WeylError,
     apply_matrix,
     cartan_integer,
@@ -18,8 +20,10 @@ from weyldecomp import (
     compose,
     conjugated_root,
     conjugation_identity_holds,
+    count_reduced_words,
     decomposition_from_roots,
     dominance_leq,
+    enumerate_max_orthogonal,
     evaluate_word,
     identity_matrix,
     is_connected,
@@ -302,6 +306,28 @@ def test_public_inputs_are_read_as_int_tuples_or_refused(data):
             got = _outcome(f, head + changed)
             if not isinstance(got, WeylError) and repr(got) != expected:
                 raise AssertionError(f"{f.__name__}{tuple(changed)}: {got!r}, not {expected}")
+
+
+def test_keyword_bounds_are_read_as_integers_or_refused():
+    # The bounds once bypassed the boundary: "x" and None ended in TypeError,
+    # a float bound was taken, and on A3 (rank <= 4 passes the guard first)
+    # size_bound=None answered.
+    a3, e7 = system("A3"), system("E7")
+    w0 = longest_element(a3)
+    refused = [
+        lambda: count_reduced_words(a3, w0, state_bound="x"),
+        lambda: count_reduced_words(a3, w0, state_bound=None),
+        lambda: count_reduced_words(a3, w0, state_bound=2.5),
+        lambda: enumerate_max_orthogonal(e7, rank_bound="x"),
+        lambda: enumerate_max_orthogonal(e7, size_bound=None),
+        lambda: enumerate_max_orthogonal(a3, size_bound=None),
+        lambda: enumerate_max_orthogonal(a3, rank_bound=4.0),
+    ]
+    for call in refused:
+        with pytest.raises(DimensionMismatch):
+            call()
+    assert count_reduced_words(a3, w0, state_bound=24) == 16
+    assert len(enumerate_max_orthogonal(a3, rank_bound=True, size_bound=6)) == 1
 
 
 def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):

@@ -29,23 +29,15 @@ from weyldecomp import (
     simple_reflection,
     system,
 )
-from weyldecomp.decompose import _minus_one_dimension
 from weyldecomp.rootsys import (
     _dot,
     _highest_by_support,
     _pair,
     _simple_coroots,
-    _sub_multiple,
     _two_rho,
     negate,
 )
-from weyldecomp.weyl import reflection_product
-from weyldecomp.words import (
-    _reflect,
-    classify_conjugation,
-    positive_representative,
-    predicted_conjugate,
-)
+from weyldecomp.words import classify_conjugation, positive_representative, predicted_conjugate
 
 # The full sweep of admissible types exercised by the acceptance criteria.
 FULL_SWEEP = (
@@ -330,13 +322,13 @@ def reference_reduced_word(rs: RootSystem, m) -> tuple[int, ...]:
 
 def _tuple_right_reflect(cols: list[Root], v: Root, row) -> None:
     for j, cj in row:
-        cols[j] = _sub_multiple(cols[j], cj, v)
+        cols[j] = tuple(x - cj * y for x, y in zip(cols[j], v))
 
 
 def tuple_reflection_product(rs: RootSystem, roots) -> Matrix:
     """Reference for ``reflection_product``: the walk on columns kept as
-    tuples, one ``_sub_multiple`` per column rewrite, which the packed-integer
-    walk replaced."""
+    tuples, col_j - c_j v entry by entry per column rewrite, which the
+    packed-integer walk replaced."""
     cols = list(identity_matrix(rs.rank))
     for r in roots:
         if not is_root(rs, r):
@@ -425,11 +417,12 @@ def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
     its order, found by a bitmask clique walk.  The pool keeps the highest
     roots of connected parabolics that w0 negates; the walk intersects
     compatibility masks, lowest bit first, cuts a branch whose chosen roots
-    plus remaining candidates number fewer than d = dim E_-1(w0), and
-    checks each clique of d roots by the literal product.  A walk that
-    visits more than ``_MAX_SEARCH_NODES`` nodes raises TooLarge."""
+    plus remaining candidates number fewer than d, the size of a frame (see
+    ``frames``), and checks each clique of d roots by the literal product,
+    ``tuple_reflection_product``.  A walk that visits more than
+    ``_MAX_SEARCH_NODES`` nodes raises TooLarge."""
     w0 = longest_element(rs)
-    d = _minus_one_dimension(rs)
+    d = len(frames(rs, first=True)[0])
     pool = dense_negated_pool(rs)
     masks = _compatibility_masks(rs, pool)
     results: list[tuple[Root, ...]] = []
@@ -444,7 +437,7 @@ def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
                 f"over the limit of {_MAX_SEARCH_NODES}"
             )
         if len(chosen) == d:
-            if reflection_product(rs, chosen) != w0:
+            if tuple_reflection_product(rs, chosen) != w0:
                 raise RuntimeError(
                     f"{rs.type}: the reflections in {chosen} do not multiply to w0"
                 )
@@ -460,6 +453,47 @@ def reference_max_orthogonal(rs: RootSystem) -> list[tuple[Root, ...]]:
     return sorted(
         tuple(sorted(roots, key=lambda r: (sum(r) > 1, sum(r), r))) for roots in results
     )
+
+
+def frames(rs: RootSystem, first: bool = False) -> list[tuple[Root, ...]]:
+    """The frames of rs: the largest sets of pairwise orthogonal positive
+    roots that w0 negates, each in root order.  w0 = -sigma for the diagram
+    involution sigma, so these are the sigma-fixed positive roots.  A bitmask
+    clique walk over them, with w0 from ``reference_longest_element`` and
+    orthogonality from the dense Gram matrix, takes the lowest candidate
+    first and cuts a branch that cannot reach the largest size found so far.
+    With ``first``, it stops at the first clique of dim E_-1(w0) =
+    (rank - trace w0) / 2 roots, the most there can be: the roots lie in
+    E_-1(w0), and pairwise orthogonal roots are linearly independent."""
+    w0 = reference_longest_element(rs)
+    negated = [
+        r for r in rs.positive_roots if all(sum(map(mul, row, r)) == -c for row, c in zip(w0, r))
+    ]
+    gram_rows = [[sum(map(mul, row, r)) for row in rs.gram2] for r in negated]
+    masks = [
+        sum(1 << j for j, s in enumerate(negated) if j > i and sum(map(mul, s, gram_rows[i])) == 0)
+        for i in range(len(negated))
+    ]
+    stop = (rs.rank - sum(w0[i][i] for i in range(rs.rank))) // 2 if first else None
+    found: list[tuple[Root, ...]] = []
+
+    def walk(cands: int, chosen: tuple[Root, ...]) -> bool:
+        if not cands:  # chosen is a maximal clique
+            if found and len(chosen) > len(found[0]):
+                found.clear()
+            if not found or len(chosen) == len(found[0]):
+                found.append(chosen)
+            return len(chosen) == stop
+        while cands and len(chosen) + cands.bit_count() >= (len(found[0]) if found else 0):
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            if walk(cands & masks[i], chosen + (negated[i],)):
+                return True
+        return False
+
+    walk((1 << len(negated)) - 1, ())
+    return found
 
 
 def brute_force_largest_compatible_sets(rs: RootSystem, roots) -> set[frozenset[Root]]:
@@ -532,6 +566,13 @@ def formula_epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
     return tuple(roots) + (tuple(int(j == n) for j in range(1, n + 1)),)
 
 
+def _tuple_reflect(x: Root, r: Root, coroot) -> Root:
+    """s_r(x) = x - <x, r-check> r, entry by entry, given r's coroot as
+    (j, c_j) pairs."""
+    c = sum(x[j] * cj for j, cj in coroot)
+    return tuple(xi - c * ri for xi, ri in zip(x, r))
+
+
 def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Reference for ``words._conjugation_suite``, with no pair bound: the
     sweep on tuple roots, which the packed-integer sweep replaced.  Each
@@ -544,7 +585,7 @@ def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     roots = rs.positive_roots
     coroots = coroot_table(rs)
     two_rho = _two_rho(rs)
-    moved = {r: _reflect(two_rho, r, coroots[r]) for r in roots}
+    moved = {r: _tuple_reflect(two_rho, r, coroots[r]) for r in roots}
     gram_row = {r: tuple(sum(map(mul, row, r)) for row in rs.gram2) for r in roots}
     pairs = 0
     named = 0
@@ -554,8 +595,8 @@ def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
             if a == b:
                 continue
             pairs += 1
-            conj = positive_representative(rs, _reflect(b, a, a_coroot))
-            literal = _reflect(_reflect(a_moved, b, coroots[b]), a, a_coroot)
+            conj = positive_representative(rs, _tuple_reflect(b, a, a_coroot))
+            literal = _tuple_reflect(_tuple_reflect(a_moved, b, coroots[b]), a, a_coroot)
             if moved[conj] != literal:
                 return False, pairs, named
             p_ab = _dot(b, a_row)
