@@ -20,14 +20,14 @@ from .decompose import (
     recursion_relation_check,
     verify_decomposition,
 )
-from .errors import TooLarge, WeylError
+from .errors import WeylError
 from .rootsys import RootSystemType, _check_rank, build_root_system, format_root, parse_type
 from .weyl import classify_longest, count_reduced_words, length_of, longest_element
 from .words import _conjugation_suite, _interval_suite
 
 
 class _Stop(Exception):
-    """Ends parsing or a verb early with run's (exit code, stdout, stderr)."""
+    """Ends parsing early with run's (exit code, stdout, stderr)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,11 +224,7 @@ def _cmd_count_words(rs, ns) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_check_identities(rs, ns) -> tuple[int, dict, list[str]]:
-    try:
-        ok, pairs, named = _conjugation_suite(rs)
-    except TooLarge as exc:
-        # refused before any pair is checked: a usage error, as a rank over 64 is
-        raise _Stop(2, "", f"error: {exc}\n") from None
+    ok, pairs, named = _conjugation_suite(rs)
     detail = f" ({pairs} pairs, {named} named cases)"
     suites = [("conjugation", "conjugation identities", ok, detail)]
     if rs.family == "A" and rs.rank >= 2:

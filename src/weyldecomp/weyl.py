@@ -257,8 +257,8 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     the Cartan matrix, holds the labels of a_i.  Each layer maps every element
     to its ascents and adds up the ways; after l(m) layers from the labels of
     m(2 rho), only 2 rho, whose labels are all 2, is left.  The distinct
-    elements visited are bounded by ``state_bound``; exceeding it raises
-    TooLarge.
+    elements visited, m among them, are bounded by ``state_bound``;
+    exceeding it raises TooLarge.
 
     The labels are packed in 2-byte lanes (see ``rootsys``): a label of
     u(2 rho) is +-<2 rho, b-check> for a positive root b, at most 2(h - 1) for
@@ -288,6 +288,8 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     image = apply_matrix(m, _two_rho(rs))
     layer = {_pack([_pair(image, row) for row in rs.simple_coroots], 2): 1}
     states = 1
+    if states > state_bound:
+        raise TooLarge(f"reduced-word search exceeded {state_bound} states")
     for _ in range((len(word) + 1) // 2 if longest else len(word)):
         previous = layer
         ways: dict[int, int] = {}

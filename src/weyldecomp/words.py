@@ -14,8 +14,8 @@ send it to the same vector.  The test does not separate W from the diagram
 automorphisms (in A2, -I and w0 both send 2 rho to -2 rho); in the sweep both
 sides are products of reflections, so it is exact there.  The sweep packs
 vectors in 4-byte lanes (see ``rootsys``): it meets only roots and images of
-2 rho under W, whose entries are at most those of 2 rho, below 2000 wherever
-it runs.  The literal product expands by linearity: with y = s_a(2 rho),
+2 rho under W, whose entries are at most those of 2 rho, at most 4158 (on
+C64).  The literal product expands by linearity: with y = s_a(2 rho),
 c = <b, a-check> and k1 = <y, b-check>, s_a(s_b(y)) = y - k1*b -
 (<y, a-check> - k1*c)*a.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import index, mul, sub
 
-from .errors import BadRange, DimensionMismatch, NotARoot, Orthogonal, Proportional, TooLarge
+from .errors import BadRange, DimensionMismatch, NotARoot, Orthogonal, Proportional
 from .rootsys import (
     Root,
     RootSystem,
@@ -191,11 +191,6 @@ def conjugation_identity_holds(rs: RootSystem, delta: Root, tau: Root) -> bool:
     return reflection_product(rs, [delta, tau, delta]) == s_conj
 
 
-# Most ordered pairs the conjugation sweep takes on.  At about 1.5 us a pair, check-identities
-# answers D45 (3918420 pairs) in 6-8 s of CPU on a 2-core VM, and A62, the slowest, in 9-10 s.
-_PAIR_BOUND = 4_000_000
-
-
 def _position(positions: dict[int, int], b: int, c: int, a: int) -> int:
     """The index of the positive root +-(b - c*a), for packed roots b and a."""
     try:
@@ -211,16 +206,12 @@ def _row(columns: list[int], coefficients, count: int) -> memoryview:
 
 def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     """Sweep ordered pairs of distinct positive roots; return (ok, pairs, named).
-    More than ``_PAIR_BOUND`` pairs raise TooLarge before any is checked.
     A, B and Y are a, b and y = s_a(2 rho) packed.  For each conjugator a,
     c = <b, a-check> and k1 = <y, b-check> over all b come as two rows of
     lanes.  The closed-form conjugate is the root at B - c*A, the literal
     expansion must give its image of 2 rho, and a named case must give it at
     B -/+ k*A."""
     roots = rs.positive_roots
-    if (total := len(roots) * (len(roots) - 1)) > _PAIR_BOUND:
-        message = f"identity sweep of {rs.type} needs {total} pairs"
-        raise TooLarge(f"{message}, over the bound of {_PAIR_BOUND}")
     coroots = [_coroot(rs, r) for r in roots]
     two_rho = _two_rho(rs)
     moved = [_reflect(two_rho, r, row) for r, row in zip(roots, coroots)]

@@ -18,7 +18,14 @@ from weyldecomp import (
     verify_decomposition,
 )
 
-from util import dense_pairing2, frames, reference_longest_element, tuple_reflection_product
+from util import (
+    dense_pairing2,
+    frames,
+    generate_group,
+    reference_longest_element,
+    reflection_distances,
+    tuple_reflection_product,
+)
 
 FRAME_TYPES = (
     [f"A{n}" for n in range(1, 10)]
@@ -98,3 +105,17 @@ def test_the_reflection_factorizations_of_w0_of_length_d_are_the_orderings_of_th
     assert {frozenset(roots) for roots in factorizations} == {frozenset(f) for f in found}, t
     for roots in factorizations:
         assert all(dense_pairing2(rs, x, y) == 0 for x, y in combinations(roots, 2)), (t, roots)
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_absolute_length_of_w0_is_the_factor_count_and_is_at_most_the_length(t):
+    # The paper's two length functions: l in the simple reflections, l_a in
+    # all reflections, each a BFS distance over the whole group.
+    rs = system(t)
+    length = generate_group(rs)
+    absolute = reflection_distances(rs)
+    assert absolute.keys() == length.keys(), t
+    w0 = max(length, key=length.get)
+    assert absolute[w0] == len(canonical_decomposition(rs).factors), t
+    for m, l in length.items():
+        assert absolute[m] <= l and (l - absolute[m]) % 2 == 0, (t, m)

@@ -528,6 +528,19 @@ def test_count_reduced_words_of_a_long_element_hits_the_state_bound():
         count_reduced_words(a32, m, state_bound=1000)
 
 
+def test_a_state_bound_below_one_refuses_every_element():
+    # The element the count starts from is its first state, so a bound below
+    # 1 admits no element, the identity included; w0 keeps its own message.
+    a3 = system("A3")
+    for bound in (0, -5):
+        for m in (identity_matrix(3), simple_reflection(a3, 1)):
+            with pytest.raises(TooLarge, match=f"^reduced-word search exceeded {bound} states$"):
+                count_reduced_words(a3, m, state_bound=bound)
+        with pytest.raises(TooLarge, match=f"needs 24 states, over the bound of {bound}$"):
+            count_reduced_words(a3, longest_element(a3), state_bound=bound)
+    assert count_reduced_words(a3, identity_matrix(3), state_bound=1) == 1
+
+
 def test_two_rho_separates_the_elements_of_the_group():
     for t in ["A3", "B3", "G2"]:
         rs = system(t)

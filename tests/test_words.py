@@ -11,7 +11,6 @@ from weyldecomp import (
     NotARoot,
     Orthogonal,
     Proportional,
-    TooLarge,
     apply_matrix,
     check_lambda_v,
     check_permutation_lemma,
@@ -353,18 +352,14 @@ def test_conjugated_root_is_the_reflected_target_on_every_swept_pair():
 
 def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
     """Every root, every image of 2 rho and every k1*b and k2*a term of the
-    sweep has entries in (-2**31, 2**31) on the largest admitted type of each
+    sweep has entries in (-2**31, 2**31) on the largest supported type of each
     family.  k1 = <s_a(2 rho), b-check> = <2 rho, s_a(b)-check> and
     k2 = <s_b(s_a(2 rho)), a-check> = <2 rho, s_a(s_b(a))-check> are each
     <2 rho, r-check> for a root r, so N roots bound them.  Images of 2 rho
     under W, the literal side included, have entries at most those of 2 rho:
     w(2 rho) is a signed sum of the positive roots."""
-    for t, refused in [("A62", "A63"), ("B44", "B45"), ("C44", "C45"), ("D45", "D46"), ("E8", "")]:
+    for t in ["A64", "B64", "C64", "D64", "E8"]:
         rs = system(t)
-        assert len(rs.positive_roots) * (len(rs.positive_roots) - 1) <= words._PAIR_BOUND
-        if refused:
-            with pytest.raises(TooLarge):
-                words._conjugation_suite(system(refused))
         coroots = coroot_table(rs)
         two_rho = _two_rho(rs)
         largest_root = max(max(map(abs, r)) for r in rs.positive_roots)

@@ -31,7 +31,6 @@ from weyldecomp import (
 )
 from weyldecomp.rootsys import (
     _dot,
-    _highest_by_support,
     _pair,
     _simple_coroots,
     _two_rho,
@@ -353,9 +352,9 @@ def tuple_evaluate_word(rs: RootSystem, word) -> Matrix:
     return tuple(zip(*cols))
 
 
-def generate_group(rs: RootSystem) -> dict[Matrix, int]:
-    """BFS over right multiplication: every element mapped to its word length."""
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+def _cayley_distances(rs: RootSystem, gens: list[Matrix]) -> dict[Matrix, int]:
+    """BFS over right multiplication by ``gens``: every element of the group
+    they generate mapped to its distance from the identity."""
     seen: dict[Matrix, int] = {identity_matrix(rs.rank): 0}
     frontier = [identity_matrix(rs.rank)]
     depth = 0
@@ -372,6 +371,19 @@ def generate_group(rs: RootSystem) -> dict[Matrix, int]:
     return seen
 
 
+def generate_group(rs: RootSystem) -> dict[Matrix, int]:
+    """Every element mapped to its word length l, in the simple reflections."""
+    return _cayley_distances(rs, [simple_reflection(rs, i) for i in range(1, rs.rank + 1)])
+
+
+def reflection_distances(rs: RootSystem) -> dict[Matrix, int]:
+    """Every element mapped to its absolute length l_a, the fewest
+    reflections whose product it is: the distance in the Cayley graph on all
+    reflections, each built by ``tuple_reflection_product``."""
+    reflections = [tuple_reflection_product(rs, [r]) for r in rs.positive_roots]
+    return _cayley_distances(rs, reflections)
+
+
 def build(t: str) -> RootSystem:
     return system(t)
 
@@ -383,8 +395,18 @@ _MAX_SEARCH_NODES = 10**6
 
 
 def _candidate_pool(rs: RootSystem) -> list[Root]:
-    """Highest roots of all connected standard parabolics, by height."""
-    return sorted(_highest_by_support(rs).values(), key=lambda r: (sum(r), r))
+    """Highest roots of all connected standard parabolics, by height.  The
+    positive roots are grouped by support; the highest root of a connected
+    parabolic is the one root of greatest height in its group."""
+    groups: dict[tuple[int, ...], list[Root]] = {}
+    for r in rs.positive_roots:
+        groups.setdefault(tuple(i for i, c in enumerate(r) if c), []).append(r)
+    pool = []
+    for roots in groups.values():
+        top = max(map(sum, roots))
+        (highest,) = [r for r in roots if sum(r) == top]
+        pool.append(highest)
+    return sorted(pool, key=lambda r: (sum(r), r))
 
 
 def _compatibility_masks(rs: RootSystem, pool: list[Root]) -> list[int]:
@@ -574,14 +596,13 @@ def _tuple_reflect(x: Root, r: Root, coroot) -> Root:
 
 
 def tuple_conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
-    """Reference for ``words._conjugation_suite``, with no pair bound: the
-    sweep on tuple roots, which the packed-integer sweep replaced.  Each
-    ordered pair of distinct positive roots takes the conjugate s_a(b), up to
-    sign, by the coroot of a from its own table, the literal
-    s_a(s_b(s_a(2 rho))) by two rank-one reflections against the conjugate's
-    image of 2 rho, and ``predicted_conjugate`` for a case
-    ``classify_conjugation`` names; returns (ok, pairs, named) at the first
-    failure or the end."""
+    """Reference for ``words._conjugation_suite``: the sweep on tuple roots,
+    which the packed-integer sweep replaced.  Each ordered pair of distinct
+    positive roots takes the conjugate s_a(b), up to sign, by the coroot of a
+    from its own table, the literal s_a(s_b(s_a(2 rho))) by two rank-one
+    reflections against the conjugate's image of 2 rho, and
+    ``predicted_conjugate`` for a case ``classify_conjugation`` names;
+    returns (ok, pairs, named) at the first failure or the end."""
     roots = rs.positive_roots
     coroots = coroot_table(rs)
     two_rho = _two_rho(rs)
