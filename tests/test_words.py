@@ -284,21 +284,27 @@ def test_identity_checks_catch_a_wrong_conjugate(monkeypatch):
     assert pairing2(a2, a, b) != 0
     assert words._conjugation_suite(a2)[0] and conjugation_identity_holds(a2, a, b)
     true_conjugate = words.conjugated_root
-    true_position = words._position
+    true_positions = words._positions
 
     def wrong(rs, delta, tau):
         return tau if pairing2(rs, delta, tau) else true_conjugate(rs, delta, tau)
 
-    def wrong_position(positions, b, c, a):
-        return true_position(positions, b, 0, a)  # b in place of b - c*a
+    def wrong_positions(packed):
+        # each root at the index of the one before it
+        return {key: (i - 1) % len(packed) for key, i in true_positions(packed).items()}
 
     # The sweep's closed-form step is the packed lookup, the matrix route's
-    # is conjugated_root: both give tau for a non-orthogonal pair.
-    monkeypatch.setattr(words, "_position", wrong_position)
+    # is conjugated_root.  Both give tau for the first pair, a2 acting on a1:
+    # its conjugate a1 + a2 is the root after a1.
+    monkeypatch.setattr(words, "_positions", wrong_positions)
     monkeypatch.setattr(words, "conjugated_root", wrong)
     # The first pair fails on the literal route, before any case is named.
     assert words._conjugation_suite(a2) == (False, 1, 0)
     assert not conjugation_identity_holds(a2, a, b)
+    # A lookup that misses names b, c and a: here c = <a1, a2-check> = -1.
+    monkeypatch.setattr(words, "_positions", lambda packed: {})
+    with pytest.raises(NotARoot, match=r"^0x[0-9a-f]+ - -1 \* 0x[0-9a-f]+ is not a packed root$"):
+        words._conjugation_suite(a2)
 
 
 def test_identity_sweep_catches_a_wrong_case_coefficient(monkeypatch):
@@ -312,7 +318,7 @@ def test_identity_sweep_catches_a_wrong_case_coefficient(monkeypatch):
     assert words._conjugation_suite(b2) == (False, 1, 1)
     # a1 + 3a2 is no root: the packed lookup raises NotARoot, not KeyError
     monkeypatch.setitem(words._CASE_TABLE, (2, 4, 2), ("ShortLong_B_F4", 3))
-    with pytest.raises(NotARoot):
+    with pytest.raises(NotARoot, match=r"^0x[0-9a-f]+ - -3 \* 0x[0-9a-f]+ is not a packed root$"):
         words._conjugation_suite(b2)
 
 
@@ -350,17 +356,23 @@ def test_conjugated_root_is_the_reflected_target_on_every_swept_pair():
                     assert conjugated_root(rs, a, b) == expected, (t, a, b)
 
 
-def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
-    """Every root, every image of 2 rho and every k1*b and k2*a term of the
-    sweep has entries in (-2**31, 2**31) on the largest supported type of each
-    family.  k1 = <s_a(2 rho), b-check> = <2 rho, s_a(b)-check> and
-    k2 = <s_b(s_a(2 rho)), a-check> = <2 rho, s_a(s_b(a))-check> are each
-    <2 rho, r-check> for a root r, so N roots bound them.  Images of 2 rho
-    under W, the literal side included, have entries at most those of 2 rho:
+@pytest.fixture(scope="module")
+def largest_types():
+    """The largest supported type of each family, its system and its coroot
+    table (a dense table takes about a second at rank 64)."""
+    return [(t, system(t), coroot_table(system(t))) for t in ["A64", "B64", "C64", "D64", "E8"]]
+
+
+def test_packed_sweep_quantities_fit_a_signed_16_bit_lane(largest_types):
+    """Every root, every image of 2 rho, and the entries of the literal side
+    Z - k1*X = s_a(y) - k1*s_a(b) of the sweep, even term by term, lie in
+    (-2**15, 2**15) on the largest supported type of each family, so no two
+    of the vectors the sweep compares or looks up share a packed int.
+    k1 = <s_a(2 rho), b-check> = <2 rho, s_a(b)-check> is <2 rho, r-check> for
+    a root r, so N roots bound it.  Images of 2 rho under W, s_a(y) = 2 rho
+    and the literal side included, have entries at most those of 2 rho:
     w(2 rho) is a signed sum of the positive roots."""
-    for t in ["A64", "B64", "C64", "D64", "E8"]:
-        rs = system(t)
-        coroots = coroot_table(rs)
+    for t, rs, coroots in largest_types:
         two_rho = _two_rho(rs)
         largest_root = max(max(map(abs, r)) for r in rs.positive_roots)
         largest_image = max(
@@ -368,28 +380,25 @@ def test_packed_sweep_quantities_fit_a_signed_32_bit_lane():
         )
         largest_k = max(abs(_pair(two_rho, coroots[r])) for r in rs.positive_roots)
         assert largest_image == max(two_rho), t
-        assert max(largest_root, largest_image, largest_k * largest_root) < 2**31, t
+        assert max(largest_root, largest_image + largest_k * largest_root) < 2**15, t
 
 
-def test_row_lanes_equal_the_pairings_at_the_largest_admitted_types():
+def test_row_lanes_equal_the_pairings_at_the_largest_types(largest_types):
     """The sweep's rows of c = <b, a-check> and k1 = <s_a(2 rho), b-check>,
-    decoded from 32-bit lanes, equal the pairings over every positive root b,
+    decoded from 16-bit lanes, equal the pairings over every positive root b,
     for the first, a middle and the last conjugator a: negative lanes and the
     byte order come back exactly."""
-    for t in ["A62", "B44", "C44", "D45", "E8"]:
-        rs = system(t)
+    for t, rs, coroots in largest_types:
         roots = rs.positive_roots
-        coroots = coroot_table(rs)
         dense = [[dict(coroots[b]).get(m, 0) for m in range(rs.rank)] for b in roots]
-        root_columns = [_pack(column, 4) for column in zip(*roots)]
-        coroot_columns = _sparse_columns([coroots[b] for b in roots], rs.rank, 4)
-        assert coroot_columns == [_pack(column, 4) for column in zip(*dense)], t
+        root_columns = [_pack(column, 2) for column in zip(*roots)]
+        coroot_columns = _sparse_columns([coroots[b] for b in roots], rs.rank, 2)
+        assert coroot_columns == [_pack(column, 2) for column in zip(*dense)], t
         two_rho = _two_rho(rs)
         lowest = [0, 0]
         for a in (roots[0], roots[len(roots) // 2], roots[-1]):
             y = words._reflect(two_rho, a, coroots[a])
-            c_row = words._row(root_columns, coroots[a], len(roots))
-            k1_row = words._row(coroot_columns, enumerate(y), len(roots))
+            c_row, k1_row = words._rows(root_columns, coroot_columns, coroots[a], y, len(roots))
             assert list(c_row) == [_pair(b, coroots[a]) for b in roots], (t, a)
             assert list(k1_row) == [sum(map(mul, y, row)) for row in dense], (t, a)
             lowest = [min(lowest[0], min(c_row)), min(lowest[1], min(k1_row))]
