@@ -27,11 +27,10 @@ from .rootsys import (
     _Record,
     _components,
     _coroot,
-    _dot,
-    _gram_product,
     _highest_by_support,
     _integers,
     _pair,
+    _pairing2,
     _root,
     _sequence,
     _support,
@@ -402,8 +401,7 @@ def epsilon_factorization(rs: RootSystem) -> tuple[Root, ...]:
     """
     if rs.family not in ("B", "C"):
         raise WrongFamily(f"coordinate-frame factorization needs B or C, not {rs.type}")
-    frame = rs.gram2[-1][-1]
-    return tuple(r for r in reversed(rs.positive_roots) if _dot(r, _gram_product(rs, r)) == frame)
+    return tuple(r for r in reversed(rs.positive_roots) if _pairing2(rs, r, r) == rs.gram2[-1][-1])
 
 
 def dn_orthogonality_pattern(rs: RootSystem) -> bool:

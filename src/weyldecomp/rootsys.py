@@ -325,17 +325,17 @@ def _sparse_columns(rows, count: int, width: int) -> list[int]:
 
 
 def _lanes(packed: list[int], count: int, width: int) -> memoryview:
-    """The signed lanes of packed ints, ``count`` to an int, int after int:
-    with the bias added each lane is v + half, and xor makes it v's two's
-    complement.  ``to_bytes`` writes in the host's order (Python 3.10 needs
-    it given), so a big-endian host reverses the ints and then the view.
+    """The signed 1- or 2-byte lanes of packed ints, ``count`` to an int, int
+    after int: with the bias added each lane is v + half, and xor makes it v's
+    two's complement.  ``to_bytes`` writes in the host's order (Python 3.10
+    needs it given), so a big-endian host reverses the ints and then the view.
     Ints are joined 4096 at a time, which bounds the bytes objects alive."""
     bias, size, order = _bias(count, width), width * count, sys.byteorder
     ints = packed if order == "little" else packed[::-1]
     data = bytearray()
     for k in range(0, len(ints), 4096):
         data += b"".join([((x + bias) ^ bias).to_bytes(size, order) for x in ints[k : k + 4096]])
-    view = memoryview(data).cast({1: "b", 2: "h", 4: "i"}[width])
+    view = memoryview(data).cast({1: "b", 2: "h"}[width])
     return view if order == "little" else view[::-1]
 
 

@@ -240,10 +240,6 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
                 conj = positions[X]
                 if Z - k1 * X != image[conj]:  # pairs checked: i full rows, then b
                     return False, i * (count - 1) + j + (j < i), named
-                if not c:
-                    if conj != j:
-                        return False, i * (count - 1) + j + (j < i), named
-                    continue
                 k = ks.get(c)
                 if k is not None:
                     named += 1

@@ -82,7 +82,7 @@ def test_positive_roots_equal_the_tuple_closure():
 def test_lanes_read_back_packed_vectors_at_every_width():
     # Both ends of each signed range, negative lanes between positive ones
     # (a borrow into the lane above) and at the top lane (a negative int).
-    for width in (1, 2, 4):
+    for width in (1, 2):
         low, high = -(1 << 8 * width - 1), (1 << 8 * width - 1) - 1
         vectors = [(low, high), (high, low), (1, low, -1, high, 2), (3, 0, -1), (low,), (high,)]
         for v in vectors:

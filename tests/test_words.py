@@ -301,6 +301,17 @@ def test_identity_checks_catch_a_wrong_conjugate(monkeypatch):
     # The first pair fails on the literal route, before any case is named.
     assert words._conjugation_suite(a2) == (False, 1, 0)
     assert not conjugation_identity_holds(a2, a, b)
+    # B2 with orthogonal a2 and a1 + a2 at each other's index: for c = 0 the
+    # lookup key is b itself, so the literal route fails at the second pair,
+    # a2 acting on a1 + a2, after the first pair's case.
+    b2 = system("B2")
+    assert b2.positive_roots[0::2] == ((0, 1), (1, 1)) and pairing2(b2, (0, 1), (1, 1)) == 0
+
+    def swapped_positions(packed):
+        return {key: (2 - i if i in (0, 2) else i) for key, i in true_positions(packed).items()}
+
+    monkeypatch.setattr(words, "_positions", swapped_positions)
+    assert words._conjugation_suite(b2) == (False, 2, 1)
     # A lookup that misses names b, c and a: here c = <a1, a2-check> = -1.
     monkeypatch.setattr(words, "_positions", lambda packed: {})
     with pytest.raises(NotARoot, match=r"^0x[0-9a-f]+ - -1 \* 0x[0-9a-f]+ is not a packed root$"):
