@@ -15,7 +15,10 @@ For each of the 257 types that ``build_root_system`` accepts (ranks up to
   decomposition, equal as a set to the canonical roots (the search lists
   simple factors in another order);
 - the sha256 of ``json.dumps(list(cli.run(["export", "--type", T])))``
-  equals the digest recorded in ``tests/fixtures/all_types_export_digests.json``.
+  equals the digest recorded in ``tests/fixtures/all_types_export_digests.json``;
+- the positive roots are distinct (``root_index`` has one entry for each)
+  and as many as the closed form says: n(n+1)/2 in A_n, n^2 in B_n and C_n,
+  n(n-1) in D_n, and 36, 63, 120, 24 and 6 in E6, E7, E8, F4 and G2.
 
 It prints its CPU time and peak RSS, and exits 1 naming the types that fail.
 """
@@ -47,11 +50,21 @@ TYPES = (
 DIGESTS = Path(__file__).parents[1] / "tests" / "fixtures" / "all_types_export_digests.json"
 
 
+def root_count(t: str) -> int:
+    """|positive roots| of t by its closed form."""
+    n = int(t[1:])
+    closed = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}
+    return closed.get(t[0]) or {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[t]
+
+
 def failures(t: str, digest: str, recursion: Counter) -> list[str]:
     """The checks t fails; counts its recursion outcome in ``recursion``."""
     rs = system(t)
     canonical = canonical_decomposition(rs)
     failed = [] if verify_decomposition(rs, canonical).all_ok() else ["verify"]
+    count = len(rs.positive_roots)
+    if count != root_count(t) or len(rs.root_index) != count:
+        failed.append(f"root count ({count}, {len(rs.root_index)} distinct)")
     try:
         holds = recursion_relation_check(rs)
     except NoRelation:

@@ -27,6 +27,7 @@ from .rootsys import (
     _Record,
     _components,
     _coroot,
+    _greedy_walk,
     _highest_by_support,
     _integers,
     _pair,
@@ -38,7 +39,6 @@ from .rootsys import (
     support,
 )
 from .weyl import (
-    _greedy_walk,
     _reflection_columns,
     _unpack,
     classify_longest,
@@ -343,7 +343,7 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     theta, perp = next(_cascade(rs))
     J = max(perp, key=len)
     simple = identity_matrix(rs.rank)
-    inner = [simple[i - 1] for i in _greedy_walk(rs, [1] * rs.rank, J)]
+    inner = [simple[i - 1] for i in _greedy_walk(rs.simple_coroots, [1] * rs.rank, J)]
     top = _highest_by_support(rs)
     tail = [theta] + [top[K] for K in perp if K != J]
     return _unpack(_reflection_columns(rs, inner + tail)) == longest_element(rs)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import compress
-from operator import add, index, mul
+from operator import index, mul
 
 from .errors import (
     DimensionMismatch,
@@ -339,28 +339,45 @@ def _lanes(packed: list[int], count: int, width: int) -> memoryview:
     return view if order == "little" else view[::-1]
 
 
-def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...]:
-    """Enumerate all positive roots as the closure of the simple roots under
-    upward simple reflections: a non-simple positive root r has some
-    <r, a_i-check> > 0, and s_i(r) is a lower positive root that moves up to
-    r.  Ordering is by height, ties broken lexicographically.
+def _greedy_walk(rows: tuple[SparseRow, ...], heights: list[int], letters=None) -> list[int]:
+    """The letters of a greedy walk on column heights, updated in place:
+    while some height among the allowed ``letters`` (ascending, 1-based; all
+    by default) is positive, multiply on the right by s_i for the smallest
+    such i, the lowest bit of a bitmask: s_i clears bit i (h_i turns to -h_i)
+    and sets those of the neighbours it makes positive, along the sparse
+    simple coroot ``rows``.  Heights <a_j, l> of a coweight l go to those of
+    s_i(l), which drops a_i from {b > 0 : <b, l> > 0} and permutes the rest,
+    so the walk stops within N steps (N_J on letters J)."""
+    allowed = (1 << len(heights)) - 1 if letters is None else sum(1 << (i - 1) for i in letters)
+    todo = sum(1 << j for j, h in enumerate(heights) if h > 0) & allowed
+    word = []
+    while todo:
+        i = (todo & -todo).bit_length() - 1
+        hi = heights[i]
+        todo ^= 1 << i
+        for j, c in rows[i]:
+            h = heights[j] = heights[j] - c * hi
+            if h > 0:
+                todo |= (1 << j) & allowed
+        word.append(i + 1)
+    return word
 
-    A root x is one int: its Dynkin labels <x, a_j-check>, in -3..3, in the
-    low n 1-byte lanes and its coefficients, in 0..6, in the high n.  The
-    step s_i(x) = x - p_i * a_i is one int operation on the packed a_i, taken
-    when the label p_i is negative: when byte i of x plus the bias is below
-    128, the bias in each label lane."""
-    n, w = len(coroots), 2 * len(coroots)
-    simple = list(map(add, _sparse_columns(coroots, n, 1), _units(w, 1)[n:]))
-    new, roots, bias = simple, set(simple), _bias(n, 1)
-    while new:
-        biased = [(x, (x + bias).to_bytes(w, "little")) for x in new]
-        up = {x - (p - 128) * a for x, ps in biased for p, a in zip(ps, simple) if p < 128}
-        new = list(up - roots)
-        roots.update(new)
-    lanes = _lanes(list(roots), w, 1)
-    vectors = zip(*[lanes[j::w] for j in range(n, w)])
-    return tuple(sorted(vectors, key=lambda r: (sum(r), r)))
+
+def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...]:
+    """The positive roots, by height and then lexicographically.  A reduced
+    word s_i1 ... s_iN for w0 reflects each positive root once, at step k
+    b_k = s_i1 ... s_i(k-1)(a_ik): column i_k of the element walked so far.
+    So the greedy walk to w0 is replayed on columns, roots packed in 1-byte
+    lanes (coefficients -6..6), keeping column i before each step."""
+    n = len(coroots)
+    cols, roots = _units(n, 1), []
+    for i in _greedy_walk(coroots, [1] * n):
+        v = cols[i - 1]
+        roots.append(v)
+        for j, c in coroots[i - 1]:
+            cols[j] -= c * v
+    lanes = _lanes(roots, n, 1)
+    return tuple(sorted(zip(*[lanes[j::n] for j in range(n)]), key=lambda r: (sum(r), r)))
 
 
 def _check_rank(t: RootSystemType) -> RootSystemType:

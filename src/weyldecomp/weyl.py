@@ -8,9 +8,8 @@ so M.s_a rewrites only the columns j with c_j != 0, as col_j - c_j (M a).
 For a simple root a_i, M a_i is column i, and only column i and those of
 its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
-entry sum) is, so w0 and reduced words take their letters from one greedy walk
-on the column heights, which M.s_i changes by h_j -= c_j h_i; a bitmask of the
-nodes of positive height makes a step cost node i's degree, not the rank.
+entry sum) is, so w0 and reduced words take their letters from the greedy
+walk on the column heights, ``rootsys._greedy_walk``.
 
 A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
 rewrite is one int operation; only the final columns, roots with coefficients
@@ -32,6 +31,7 @@ from .rootsys import (
     _Record,
     _coroot,
     _dot,
+    _greedy_walk,
     _integers,
     _lanes,
     _pack,
@@ -147,30 +147,6 @@ def simple_reflection(rs: RootSystem, i: int) -> Matrix:
     return evaluate_word(rs, [i])
 
 
-def _greedy_walk(rs: RootSystem, heights: list[int], letters=None) -> list[int]:
-    """The letters of a greedy walk on column heights, updated in place:
-    while some height among the allowed ``letters`` (ascending, 1-based; all
-    by default) is positive, for at most as many steps as there are positive
-    roots, multiply on the right by s_i for the smallest such i: the lowest
-    bit of a bitmask, in which s_i clears bit i (h_i turns to -h_i) and sets
-    the bits of the neighbours it makes positive (it only raises their heights)."""
-    allowed = (1 << rs.rank) - 1 if letters is None else sum(1 << (i - 1) for i in letters)
-    todo = sum(1 << j for j, h in enumerate(heights) if h > 0) & allowed
-    rows, word = rs.simple_coroots, []
-    for _ in range(len(rs.positive_roots)):
-        if not todo:
-            break
-        i = (todo & -todo).bit_length() - 1
-        hi = heights[i]
-        todo ^= 1 << i
-        for j, c in rows[i]:
-            h = heights[j] = heights[j] - c * hi
-            if h > 0:
-                todo |= (1 << j) & allowed
-        word.append(i + 1)
-    return word
-
-
 def length_of(rs: RootSystem, m: Matrix) -> int:
     """Coxeter length: the length of a reduced word for m, which is the number
     of positive roots m sends to negative roots.  A matrix outside W, even one
@@ -179,11 +155,11 @@ def length_of(rs: RootSystem, m: Matrix) -> int:
 
 
 def descents(rs: RootSystem, m: Matrix) -> list[int]:
-    """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root negative."""
-    columns, zero = list(zip(*_check_shape(rs.rank, m))), (0,) * rs.rank
-    if zero in columns:
-        raise ValueError("matrix is not a Weyl group element")
-    return [i for i, col in enumerate(columns, 1) if col < zero]
+    """Letters i with l(m.S_i) < l(m), i.e. m sends the i-th simple root
+    negative, to a root of negative height.  A matrix outside W raises
+    ValueError, as in ``reduced_word_of``."""
+    reduced_word_of(rs, m)
+    return [i for i, col in enumerate(zip(*_check_shape(rs.rank, m)), 1) if sum(col) < 0]
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +172,7 @@ def longest_element(rs: RootSystem) -> Matrix:
     stops after exactly ``len(rs.positive_roots)`` steps; w0 evaluates its word.
     """
     heights = [1] * rs.rank
-    word = _greedy_walk(rs, heights)
+    word = _greedy_walk(rs.simple_coroots, heights)
     assert all(h < 0 for h in heights)
     return _unpack(_word_columns(rs, word))
 
@@ -230,7 +206,7 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     read from m's negated column heights; a matrix outside W fails to evaluate
     back to m."""
     m = _check_shape(rs.rank, m)
-    word = tuple(reversed(_greedy_walk(rs, [-sum(col) for col in zip(*m)])))
+    word = tuple(reversed(_greedy_walk(rs.simple_coroots, [-sum(col) for col in zip(*m)])))
     if _unpack(_word_columns(rs, word)) != m:
         raise ValueError("matrix is not a Weyl group element")
     return word

@@ -35,8 +35,8 @@ from weyldecomp.decompose import (
     _minus_one_dimension,
     _negated_pool,
 )
-from weyldecomp.rootsys import _highest_by_support, build_root_system
-from weyldecomp.weyl import _greedy_walk, evaluate_word, reflection_product
+from weyldecomp.rootsys import _greedy_walk, _highest_by_support, build_root_system
+from weyldecomp.weyl import evaluate_word, reflection_product
 
 from util import (
     FULL_SWEEP,
@@ -445,7 +445,7 @@ def test_recursion_walks_w0_of_J_in_the_systems_own_letters():
         rs = system(t)
         _, perp = next(_cascade(rs))
         J = max(perp, key=len)
-        word = _greedy_walk(rs, [1] * rs.rank, J)
+        word = _greedy_walk(rs.simple_coroots, [1] * rs.rank, J)
         assert len(word) == sum(1 for r in rs.positive_roots if set(support(r)) <= set(J)), t
         embedded, tail = embedded_recursion_roots(rs)
         assert evaluate_word(rs, word) == reflection_product(rs, embedded), t

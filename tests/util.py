@@ -129,9 +129,9 @@ def _ascents(coroots, x: Root):
 
 
 def tuple_positive_roots(rs: RootSystem) -> tuple[Root, ...]:
-    """Reference for the root enumeration: the closure of the simple roots
-    under ``_ascents``, on coefficient tuples, which the packed enumeration
-    replaced; by height, then lexicographically."""
+    """Reference for the root enumeration, which reads the positive roots off
+    the greedy walk to w0: here the closure of the simple roots under
+    ``_ascents``, on coefficient tuples; by height, then lexicographically."""
     coroots = _simple_coroots(rs.gram2)
     new = set(identity_matrix(rs.rank))
     roots = set(new)
@@ -265,7 +265,7 @@ def reference_longest_element(rs: RootSystem) -> Matrix:
 
 
 def reference_greedy_walk(rs: RootSystem, heights, letters=None) -> tuple[list[int], list[int]]:
-    """Reference for ``weyl._greedy_walk``: at every step rescan the allowed
+    """Reference for ``rootsys._greedy_walk``: at every step rescan the allowed
     nodes in ascending order for the first positive height, and update every
     height by h_j -= <a_j, a_i-check> h_i with the Cartan integers of the
     dense Gram matrix, for at most as many steps as there are positive roots.
