@@ -18,7 +18,14 @@ For each of the 257 types that ``build_root_system`` accepts (ranks up to
   equals the digest recorded in ``tests/fixtures/all_types_export_digests.json``;
 - the positive roots are distinct (``root_index`` has one entry for each)
   and as many as the closed form says: n(n+1)/2 in A_n, n^2 in B_n and C_n,
-  n(n-1) in D_n, and 36, 63, 120, 24 and 6 in E6, E7, E8, F4 and G2.
+  n(n-1) in D_n, and 36, 63, 120, 24 and 6 in E6, E7, E8, F4 and G2;
+- the length of w0 is that same closed form.  The roots and w0 come from
+  one walk, so the root count is no second route to l(w0), but
+  ``length_of`` walks w0 down again from its own column heights.  Every
+  other check except the root count takes w0 as given, so a type whose w0
+  fails this one is checked no further;
+- w0 is minus a diagram automorphism that is an involution of 1..n
+  (``classify_longest``), as w0 is its own inverse.
 
 It prints its CPU time and peak RSS, and exits 1 naming the types that fail.
 """
@@ -34,8 +41,11 @@ from pathlib import Path
 from weyldecomp import (
     NoRelation,
     canonical_decomposition,
+    classify_longest,
     cli,
     enumerate_max_orthogonal,
+    length_of,
+    longest_element,
     recursion_relation_check,
     system,
     verify_decomposition,
@@ -57,14 +67,26 @@ def root_count(t: str) -> int:
     return closed.get(t[0]) or {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[t]
 
 
+def is_involution(sigma: tuple[int, ...]) -> bool:
+    """True iff sigma, a map of 1..n into itself, is its own inverse."""
+    return all(sigma[s - 1] == i for i, s in enumerate(sigma, 1))
+
+
 def failures(t: str, digest: str, recursion: Counter) -> list[str]:
     """The checks t fails; counts its recursion outcome in ``recursion``."""
     rs = system(t)
-    canonical = canonical_decomposition(rs)
-    failed = [] if verify_decomposition(rs, canonical).all_ok() else ["verify"]
     count = len(rs.positive_roots)
+    failed = []
     if count != root_count(t) or len(rs.root_index) != count:
         failed.append(f"root count ({count}, {len(rs.root_index)} distinct)")
+    length = length_of(rs, longest_element(rs))
+    if length != root_count(t):  # every check below takes w0 as given
+        return failed + [f"w0 length ({length})"]
+    if not is_involution(classify_longest(rs).automorphism):
+        failed.append("w0 involution")
+    canonical = canonical_decomposition(rs)
+    if not verify_decomposition(rs, canonical).all_ok():
+        failed.append("verify")
     try:
         holds = recursion_relation_check(rs)
     except NoRelation:

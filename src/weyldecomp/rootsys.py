@@ -162,19 +162,21 @@ class RootSystem(_Record):
     ``gram2`` is the doubled Gram matrix of the simple roots,
     ``simple_coroots`` their sparse coroots, the rows every walk reads,
     ``positive_roots`` lists every positive root ordered by height and then
-    lexicographically by coefficient vector, and ``root_index`` maps each
-    positive root to its position in that list.  Instances are immutable and
-    shared: :func:`build_root_system` caches them per type, and they compare
-    and hash by identity.
+    lexicographically by coefficient vector, ``root_index`` maps each
+    positive root to its position in that list, and ``longest`` is the
+    longest element w0, kept from the walk that enumerates the roots.
+    Instances are immutable and shared: :func:`build_root_system` caches them
+    per type, and they compare and hash by identity.
     """
 
-    __slots__ = ("type", "gram2", "simple_coroots", "positive_roots", "root_index")
-    _hidden = ("simple_coroots", "positive_roots", "root_index")
+    __slots__ = ("type", "gram2", "simple_coroots", "positive_roots", "root_index", "longest")
+    _hidden = ("simple_coroots", "positive_roots", "root_index", "longest")
     type: RootSystemType
     gram2: Matrix
     simple_coroots: tuple[SparseRow, ...]
     positive_roots: tuple[Root, ...]
     root_index: dict[Root, int]
+    longest: Matrix
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -363,21 +365,26 @@ def _greedy_walk(rows: tuple[SparseRow, ...], heights: list[int], letters=None) 
     return word
 
 
-def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[Root, ...]:
-    """The positive roots, by height and then lexicographically.  A reduced
-    word s_i1 ... s_iN for w0 reflects each positive root once, at step k
-    b_k = s_i1 ... s_i(k-1)(a_ik): column i_k of the element walked so far.
-    So the greedy walk to w0 is replayed on columns, roots packed in 1-byte
-    lanes (coefficients -6..6), keeping column i before each step."""
+def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[tuple[Root, ...], Matrix]:
+    """The positive roots, by height and then lexicographically, and w0.  From
+    heights all 1 each greedy step sends one more positive root negative, so
+    the walk ends at w0 after exactly N steps, and its word s_i1 ... s_iN
+    reflects each positive root once, at step k b_k = s_i1 ... s_i(k-1)(a_ik):
+    column i_k of the element walked so far.  So the walk is replayed on
+    columns packed in 1-byte lanes (coefficients -6..6), keeping column i
+    before each step; the final columns are w0's."""
     n = len(coroots)
-    cols, roots = _units(n, 1), []
-    for i in _greedy_walk(coroots, [1] * n):
+    heights, cols, roots = [1] * n, _units(n, 1), []
+    for i in _greedy_walk(coroots, heights):
         v = cols[i - 1]
         roots.append(v)
         for j, c in coroots[i - 1]:
             cols[j] -= c * v
-    lanes = _lanes(roots, n, 1)
-    return tuple(sorted(zip(*[lanes[j::n] for j in range(n)]), key=lambda r: (sum(r), r)))
+    assert all(h < 0 for h in heights)
+    lanes = _lanes(roots + cols, n, 1)
+    vectors = list(zip(*[lanes[j::n] for j in range(n)]))  # the roots, then w0's columns
+    positive = sorted(vectors[:-n], key=lambda r: (sum(r), r))
+    return tuple(positive), tuple(zip(*vectors[-n:]))
 
 
 def _check_rank(t: RootSystemType) -> RootSystemType:
@@ -393,9 +400,9 @@ def build_root_system(t: RootSystemType) -> RootSystem:
     above ``_MAX_RANK`` (64) raises TooLarge before any root is enumerated."""
     gram2 = _gram2_for(_check_rank(t))
     coroots = _simple_coroots(gram2)
-    positive = _enumerate_positive_roots(coroots)
+    positive, longest = _enumerate_positive_roots(coroots)
     index = {r: i for i, r in enumerate(positive)}
-    return RootSystem(t, gram2, coroots, positive, index)
+    return RootSystem(t, gram2, coroots, positive, index, longest)
 
 
 def system(text: str) -> RootSystem:

@@ -8,8 +8,9 @@ so M.s_a rewrites only the columns j with c_j != 0, as col_j - c_j (M a).
 For a simple root a_i, M a_i is column i, and only column i and those of
 its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
-entry sum) is, so w0 and reduced words take their letters from the greedy
-walk on the column heights, ``rootsys._greedy_walk``.
+entry sum) is, so reduced words take their letters from the greedy walk on
+the column heights, ``rootsys._greedy_walk``.  w0 is not walked here: the
+RootSystem holds it, from the walk that enumerates its positive roots.
 
 A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
 rewrite is one int operation; only the final columns, roots with coefficients
@@ -20,7 +21,6 @@ step up is one int operation.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from operator import index, mul
 
 from .errors import BadLetter, DimensionMismatch, TooLarge
@@ -162,19 +162,11 @@ def descents(rs: RootSystem, m: Matrix) -> list[int]:
     return [i for i, col in enumerate(zip(*_check_shape(rs.rank, m)), 1) if sum(col) < 0]
 
 
-@lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> Matrix:
-    """The longest element: the unique element sending every positive root negative.
-
-    Built greedily: while some simple root is still sent to a positive root,
-    multiply on the right by the simple reflection of the smallest such index.
-    Each step increases the length by one, so the walk on column heights
-    stops after exactly ``len(rs.positive_roots)`` steps; w0 evaluates its word.
-    """
-    heights = [1] * rs.rank
-    word = _greedy_walk(rs.simple_coroots, heights)
-    assert all(h < 0 for h in heights)
-    return _unpack(_word_columns(rs, word))
+    """The longest element: the unique element sending every positive root
+    negative.  The system holds it: the greedy walk that enumerates the
+    positive roots ends at w0 (``rootsys._enumerate_positive_roots``)."""
+    return rs.longest
 
 
 class LongestClassification(_Record):

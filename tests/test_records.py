@@ -33,8 +33,8 @@ RECORDS = [
     (RootSystemType, ("family", "rank"), ("A", 2), "RootSystemType(family='A', rank=2)"),
     (
         RootSystem,
-        ("type", "gram2", "simple_coroots", "positive_roots", "root_index"),
-        (A2.type, A2.gram2, A2.simple_coroots, A2.positive_roots, A2.root_index),
+        ("type", "gram2", "simple_coroots", "positive_roots", "root_index", "longest"),
+        (A2.type, A2.gram2, A2.simple_coroots, A2.positive_roots, A2.root_index, A2.longest),
         A2_REPR,
     ),
     (
