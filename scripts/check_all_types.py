@@ -27,7 +27,9 @@ For each of the 257 types that ``build_root_system`` accepts (ranks up to
 - w0 is minus a diagram automorphism that is an involution of 1..n
   (``classify_longest``), as w0 is its own inverse.
 
-It prints its CPU time and peak RSS, and exits 1 naming the types that fail.
+It prints its CPU time and peak RSS, and the CPU time the lifted-bound
+search took over all types with its slowest type; it gates on neither.  It
+exits 1 naming the types that fail.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import hashlib
 import json
 import resource
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -72,8 +75,9 @@ def is_involution(sigma: tuple[int, ...]) -> bool:
     return all(sigma[s - 1] == i for i, s in enumerate(sigma, 1))
 
 
-def failures(t: str, digest: str, recursion: Counter) -> list[str]:
-    """The checks t fails; counts its recursion outcome in ``recursion``."""
+def failures(t: str, digest: str, recursion: Counter, search_s: dict) -> list[str]:
+    """The checks t fails; counts its recursion outcome in ``recursion`` and
+    records the CPU seconds of its lifted-bound search in ``search_s``."""
     rs = system(t)
     count = len(rs.positive_roots)
     failed = []
@@ -94,7 +98,9 @@ def failures(t: str, digest: str, recursion: Counter) -> list[str]:
     recursion[holds] += 1
     if holds is False:
         failed.append("recursion")
+    start = time.process_time()
     found = enumerate_max_orthogonal(rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots))
+    search_s[t] = time.process_time() - start
     if len(found) != 1 or set(found[0].roots) != set(canonical.roots):
         failed.append(f"uniqueness ({len(found)} found)")
     export = json.dumps(list(cli.run(["export", "--type", t]))).encode()
@@ -108,12 +114,19 @@ def main() -> int:
     if len(TYPES) != 257 or sorted(digests) != sorted(TYPES):
         raise SystemExit(f"{DIGESTS} does not hold one digest per supported type")
     recursion: Counter = Counter()
-    failed = {t: f for t in TYPES if (f := failures(t, digests[t], recursion))}
+    search_s: dict[str, float] = {}
+    failed = {t: f for t in TYPES if (f := failures(t, digests[t], recursion, search_s))}
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(
         f"{len(TYPES)} types, recursion {dict(recursion)}: "
         f"{usage.ru_utime + usage.ru_stime:.1f} s CPU, peak RSS {usage.ru_maxrss / 1024:.0f} MB"
     )
+    if search_s:  # a type whose w0 fails is not searched
+        slowest = max(search_s, key=search_s.get)
+        print(
+            f"lifted-bound search: {sum(search_s.values()):.2f} s CPU over {len(search_s)} "
+            f"types, slowest {slowest} {search_s[slowest]:.3f} s"
+        )
     if recursion != Counter({True: 248, "NoRelation": 9}):
         failed["recursion"] = [f"{dict(recursion)}, not 248 True and 9 NoRelation"]
     for t, what in failed.items():

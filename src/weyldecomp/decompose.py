@@ -15,7 +15,6 @@ each canonical decomposition from a smaller system's.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import combinations, product
 from operator import le
 
@@ -208,59 +207,81 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
 def _largest_compatible_sets(rs: RootSystem, pool) -> list[tuple[Root, ...]]:
     """The largest compatible sets of the (root, support) pairs in ``pool``, by
     enumerate_max_orthogonal's split of the diagram into regions (bitmasks,
-    bit i - 1 for node i).  A root's coroot is nonzero exactly on the nodes
-    of its support it is not orthogonal to and on the support's neighbours."""
+    bit i - 1 for node i).  Each root theta_S keeps three masks: S; S and
+    its neighbours, read off the simple coroots' rows; and Z(S), the nodes
+    of S that theta_S pairs to 0.  A neighbour of S pairs negatively with
+    theta_S and any other node outside S to 0, so no full coroot is needed."""
+    coroots = rs.simple_coroots
+    node_around = [sum(1 << j for j, _ in row) for row in coroots]
     starting: list[list] = [[] for _ in range(rs.rank)]
     for root, S in pool:
-        mask = sum(1 << (i - 1) for i in S)
-        linked = sum(1 << j for j, _ in _coroot(rs, root))
-        starting[S[0] - 1].append((root, mask, mask | linked, mask & ~linked))
+        mask = around = z = 0
+        for i in S:
+            bit = 1 << (i - 1)
+            mask |= bit
+            around |= node_around[i - 1]
+            if not _pair(root, coroots[i - 1]):
+                z |= bit
+        starting[S[0] - 1].append((root, mask, around, z))
 
-    @lru_cache(maxsize=None)
-    def best(region: int, chains: bool):
-        """(size, choices): the choices at the lowest node that reach the
-        largest size, each as the roots taken and the sub-regions left."""
-        if not region:
-            return 0, [((), ())]
-        low = region & -region
-        options = [((), ((region ^ low, chains),))]
-        for root, mask, around, z in starting[low.bit_length() - 1]:
-            if mask == low:
-                options.append(((root,), ((region & ~around, chains),)))
-            elif chains and region & mask == mask:
-                options.append(((root,), ((z, True), (region & ~around, False))))
-        sizes = [len(roots) + sum(best(*sub)[0] for sub in subs) for roots, subs in options]
-        size = max(sizes)
-        return size, [option for option, n in zip(options, sizes) if n == size]
+    # (region, chains) -> (size, choices): the choices at the region's lowest
+    # node that reach the largest size, each as the roots taken and the
+    # sub-regions left.
+    memo = {(0, chains): (0, [((), ())]) for chains in (False, True)}
+
+    def best(region: int, chains: bool) -> int:
+        entry = memo.get((region, chains))
+        if entry is None:
+            low = region & -region
+            rest = (region ^ low, chains)
+            size, choices = best(*rest), [((), (rest,))]
+            for root, mask, around, z in starting[low.bit_length() - 1]:
+                outside = region & ~around
+                if mask == low:
+                    subs, n = ((outside, chains),), 1 + best(outside, chains)
+                elif chains and region & mask == mask:
+                    subs = ((z, True), (outside, False))
+                    n = 1 + best(z, True) + best(outside, False)
+                else:
+                    continue
+                if n > size:
+                    size, choices = n, []
+                if n == size:
+                    choices.append(((root,), subs))
+            entry = memo[region, chains] = size, choices
+        return entry[0]
 
     def expand(region: int, chains: bool) -> list[tuple[Root, ...]]:
         return [
             roots + sum(rests, ())
-            for roots, subs in best(region, chains)[1]
+            for roots, subs in memo[region, chains][1]
             for rests in product(*(expand(*sub) for sub in subs))
         ]
 
-    return expand((1 << rs.rank) - 1, True)
+    full = (1 << rs.rank) - 1
+    best(full, True)
+    return expand(full, True)
 
 
-def _negated_pool(rs: RootSystem) -> list[tuple[Root, tuple[int, ...]]]:
+def _negated_pool(rs: RootSystem, sigma: tuple[int, ...]) -> list[tuple[Root, tuple[int, ...]]]:
     """The (root, support) pairs of the highest roots of connected standard
     parabolics that w0 negates.  w0 = -sigma for the diagram involution
-    sigma, so w0 negates r exactly when r is constant on the sigma-orbits:
-    r[sigma(i)] == r[i] for every i, an O(n) test in place of a product."""
-    sigma = classify_longest(rs).automorphism
+    sigma, and sigma sends theta_S to theta_sigma(S), so w0 negates theta_S
+    exactly when sigma(S) = S: a test on the support, O(|S|), that a
+    support with no node sigma moves passes at once."""
+    image = (None, *sigma)
+    moved = {i for i, s in enumerate(sigma, 1) if i != s}
     return [
         (r, S)
         for S, r in _highest_by_support(rs).items()
-        if all(r[s - 1] == c for c, s in zip(r, sigma))
+        if moved.isdisjoint(S) or set(S).issuperset(map(image.__getitem__, S))
     ]
 
 
-def _minus_one_dimension(rs: RootSystem) -> int:
-    """dim E_-1(w0): w0 = -sigma for the diagram involution sigma, so its -1
-    eigenspace is the fixed space of sigma, one dimension per sigma-orbit."""
-    sigma = classify_longest(rs).automorphism
-    return len({frozenset((i, s)) for i, s in enumerate(sigma, 1)})
+def _minus_one_dimension(sigma: tuple[int, ...]) -> int:
+    """dim E_-1(w0) for w0 = -sigma, sigma the diagram involution: the fixed
+    space of sigma, one dimension per sigma-orbit {i, sigma(i)}."""
+    return sum(i <= s for i, s in enumerate(sigma, 1))
 
 
 def enumerate_max_orthogonal(
@@ -307,8 +328,9 @@ def enumerate_max_orthogonal(
             "positive roots; raise the bounds to search anyway"
         )
     w0 = longest_element(rs)
-    d = _minus_one_dimension(rs)
-    largest = _largest_compatible_sets(rs, _negated_pool(rs))
+    sigma = classify_longest(rs).automorphism
+    d = _minus_one_dimension(sigma)
+    largest = _largest_compatible_sets(rs, _negated_pool(rs, sigma))
     results = [roots for roots in largest if len(roots) == d]
     for roots in results:
         if reflection_product(rs, roots) != w0:

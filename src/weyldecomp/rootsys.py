@@ -70,6 +70,9 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 # Largest rank build_root_system accepts: without a limit, the steeply growing
 # cost of a system and its w0 keeps a type such as A1000 running for minutes.
 _MAX_RANK = 64
+# Longest rank string parse_type reads: Python's default limit on converting
+# a digit string to an int, which some 3.10 patch releases do not have.
+_MAX_RANK_DIGITS = 4300
 
 
 class _Record:
@@ -149,10 +152,14 @@ class RootSystemType(_Record):
 
 
 def parse_type(text: str) -> RootSystemType:
-    """Parse a type string such as ``"F4"`` or ``"A5"`` into a RootSystemType."""
+    """Parse a type string such as ``"F4"`` or ``"A5"`` into a RootSystemType.
+    A rank of more than ``_MAX_RANK_DIGITS`` digits is refused before it is
+    read, whatever limit the interpreter puts on reading long digit strings."""
     fam, digits = (text[:1], text[1:]) if isinstance(text, str) else ("", "")
     if fam not in "ABCDEFG" or not (digits.isascii() and digits.isdigit()):
         raise InvalidType(f"cannot parse root-system type {text!r}")
+    if len(digits) > _MAX_RANK_DIGITS:
+        raise InvalidType(f"root-system type {text[:12]}... has a rank of {len(digits)} digits")
     return RootSystemType(fam, int(digits))
 
 
@@ -244,6 +251,11 @@ def _gram_product(rs: RootSystem, a: Root) -> list[int]:
 def _coroot(rs: RootSystem, a: Root) -> SparseRow:
     """The coroot of a root a in the basis dual to the simple roots, as the
     (j, c_j) pairs of the nonzero c_j = <a_j, a-check> = 2 (G a)_j / (a, G a)."""
+    return _coroot_and_norm(rs, a)[0]
+
+
+def _coroot_and_norm(rs: RootSystem, a: Root) -> tuple[SparseRow, int]:
+    """``_coroot`` of a and (a, G a), a's doubled squared length, from one G a."""
     ga = _gram_product(rs, a)
     den = _dot(a, ga)
     row = []
@@ -251,7 +263,7 @@ def _coroot(rs: RootSystem, a: Root) -> SparseRow:
         c, rem = divmod(2 * ga[j], den)
         assert rem == 0, "Cartan integer must be exact for lattice vectors"
         row.append((j, c))
-    return tuple(row)
+    return tuple(row), den
 
 
 def _simple_coroots(gram2: Matrix) -> tuple[SparseRow, ...]:

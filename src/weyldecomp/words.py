@@ -36,6 +36,7 @@ from .rootsys import (
     SparseRow,
     _Record,
     _coroot,
+    _coroot_and_norm,
     _lanes,
     _pack,
     _pair,
@@ -212,13 +213,12 @@ def _conjugation_suite(rs: RootSystem) -> tuple[bool, int, int]:
     literal s_a(s_b(y)) = Z - k1*X, the expansion regrouped, must give its image
     of 2 rho; a named case must give it at B -/+ k*A (about 1.2 us a pair)."""
     roots = rs.positive_roots
-    coroots = [_coroot(rs, r) for r in roots]
+    coroots, norm = zip(*(_coroot_and_norm(rs, r) for r in roots))
     two_rho = _two_rho(rs)
     moved = [_reflect(two_rho, r, row) for r, row in zip(roots, coroots)]
     image = [_pack(y, 2) for y in moved]
     packed = [_pack(r, 2) for r in roots]
     positions = _positions(packed)
-    norm = [_pairing2(rs, r, r) for r in roots]
     # Per norm m of a, then per root b of norm n: c = <b, a-check> in -3..3 (the
     # range for roots that are not proportional) -> the signed k _CASE_TABLE names.
     cases: dict[tuple[int, int], dict[int, int]] = {}

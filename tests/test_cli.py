@@ -335,6 +335,13 @@ def test_rank_over_the_limit_is_refused():
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_a_rank_of_more_than_4300_digits_is_a_usage_error():
+    code, out, err = invoke("info", "--type", "A" + "9" * 5000)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "_type_arg" not in err
+
+
 def test_usage_error_after_a_valid_type_builds_no_system():
     # The type is parsed and its rank checked while parsing; the system is
     # built only once the whole command line has parsed.

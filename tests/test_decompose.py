@@ -36,7 +36,7 @@ from weyldecomp.decompose import (
     _negated_pool,
 )
 from weyldecomp.rootsys import _greedy_walk, _highest_by_support, build_root_system
-from weyldecomp.weyl import evaluate_word, reflection_product
+from weyldecomp.weyl import classify_longest, evaluate_word, reflection_product
 
 from util import (
     FULL_SWEEP,
@@ -335,6 +335,14 @@ def test_uniqueness_exhaustive_beyond_the_full_sweep():
         assert verify_decomposition(rs, decs[0]).all_ok(), t
 
 
+@pytest.mark.parametrize("t", ["A64", "B64", "C64", "D64", "E8"])
+def test_uniqueness_exhaustive_at_rank_64_and_on_e8(t):
+    rs = system(t)
+    decs = enumerate_max_orthogonal(rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots))
+    assert len(decs) == 1, (t, len(decs))
+    assert set(decs[0].roots) == set(canonical_decomposition(rs).roots), t
+
+
 def test_search_returns_the_clique_walks_factor_sequences():
     # The cascade is one of the search's paths, so comparing with it alone
     # would pass a search that returned only the cascade.  The reference is
@@ -374,7 +382,7 @@ def test_largest_compatible_sets_of_the_unfiltered_pool():
 @pytest.mark.parametrize("t", FULL_SWEEP + ["A64", "B64", "C64", "D64"])
 def test_the_sigma_fixed_pool_is_the_pool_w0_negates(t):
     rs = system(t)
-    pool = _negated_pool(rs)
+    pool = _negated_pool(rs, classify_longest(rs).automorphism)
     assert all(S == support(r) for r, S in pool), t
     assert {r for r, _ in pool} == set(dense_negated_pool(rs)), t
 
@@ -384,7 +392,8 @@ def test_search_depth_is_the_canonical_factor_count():
     # the cascade reaches the same number by its own route.
     for t in FULL_SWEEP:
         rs = system(t)
-        assert _minus_one_dimension(rs) == len(canonical_decomposition(rs).factors), t
+        d = _minus_one_dimension(classify_longest(rs).automorphism)
+        assert d == len(canonical_decomposition(rs).factors), t
 
 
 def test_search_checks_each_leaf_by_the_literal_product(monkeypatch):

@@ -68,6 +68,14 @@ def test_unparseable_type_strings_rejected():
             parse_type(text)
 
 
+def test_a_rank_of_more_than_4300_digits_is_an_invalid_type():
+    # Some interpreters refuse to read so long a digit string (ValueError)
+    # and others read it, so parse_type refuses it by its length alone.
+    with pytest.raises(InvalidType, match="5000 digits"):
+        parse_type("A" + "9" * 5000)
+    assert parse_type("A" + "0" * 4298 + "64") == parse_type("A64")
+
+
 def test_positive_root_counts_match_classical_formulas():
     for t, expected in POSITIVE_ROOT_COUNT.items():
         assert len(system(t).positive_roots) == expected, t
