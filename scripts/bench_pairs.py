@@ -13,7 +13,8 @@ seed ``--seed`` + k on both sides, the base first in even pairs and the
 working tree first in odd ones.  For every metric of every workload the
 output file holds each side's runs, median and quartiles, and the number of
 pairs the working tree won (ties count for neither side), in the direction
-BENCHMARK.json gives.
+BENCHMARK.json gives.  Stopped by SIGTERM or Ctrl-C, it removes the
+extracted base.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -112,6 +114,9 @@ def main(argv=None) -> int:
     diff = ["git", "diff", "--quiet", base_rev, "--", "perfbench"]
     if subprocess.run(diff, cwd=ROOT).returncode:
         raise SystemExit(f"perfbench/ differs between {args.base} and the working tree")
+    # SIGTERM ends the run as SystemExit, so the with block removes base_dir
+    # (and subprocess.run kills a perfbench child it is waiting on).
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir:
         extract(base_rev, base_dir)
         for workload in workloads:

@@ -27,9 +27,10 @@ For each of the 257 types that ``build_root_system`` accepts (ranks up to
 - w0 is minus a diagram automorphism that is an involution of 1..n
   (``classify_longest``), as w0 is its own inverse.
 
-It prints its CPU time and peak RSS, and the CPU time the lifted-bound
-search took over all types with its slowest type; it gates on neither.  It
-exits 1 naming the types that fail.
+It prints its CPU time and peak RSS, and the CPU time that the build
+(``build_root_system``, the greedy walk to w0 included) and the lifted-bound
+search took over all types, each with its slowest type; it gates on none of
+them.  It exits 1 naming the types that fail.
 """
 from __future__ import annotations
 
@@ -75,10 +76,13 @@ def is_involution(sigma: tuple[int, ...]) -> bool:
     return all(sigma[s - 1] == i for i, s in enumerate(sigma, 1))
 
 
-def failures(t: str, digest: str, recursion: Counter, search_s: dict) -> list[str]:
+def failures(t: str, digest: str, recursion: Counter, timings: dict) -> list[str]:
     """The checks t fails; counts its recursion outcome in ``recursion`` and
-    records the CPU seconds of its lifted-bound search in ``search_s``."""
+    records the CPU seconds of its build and of its lifted-bound search under
+    ``timings[phase][t]``."""
+    start = time.process_time()
     rs = system(t)
+    timings["build"][t] = time.process_time() - start
     count = len(rs.positive_roots)
     failed = []
     if count != root_count(t) or len(rs.root_index) != count:
@@ -100,7 +104,7 @@ def failures(t: str, digest: str, recursion: Counter, search_s: dict) -> list[st
         failed.append("recursion")
     start = time.process_time()
     found = enumerate_max_orthogonal(rs, rank_bound=rs.rank, size_bound=len(rs.positive_roots))
-    search_s[t] = time.process_time() - start
+    timings["lifted-bound search"][t] = time.process_time() - start
     if len(found) != 1 or set(found[0].roots) != set(canonical.roots):
         failed.append(f"uniqueness ({len(found)} found)")
     export = json.dumps(list(cli.run(["export", "--type", t]))).encode()
@@ -114,19 +118,20 @@ def main() -> int:
     if len(TYPES) != 257 or sorted(digests) != sorted(TYPES):
         raise SystemExit(f"{DIGESTS} does not hold one digest per supported type")
     recursion: Counter = Counter()
-    search_s: dict[str, float] = {}
-    failed = {t: f for t in TYPES if (f := failures(t, digests[t], recursion, search_s))}
+    timings: dict[str, dict[str, float]] = {"build": {}, "lifted-bound search": {}}
+    failed = {t: f for t in TYPES if (f := failures(t, digests[t], recursion, timings))}
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(
         f"{len(TYPES)} types, recursion {dict(recursion)}: "
         f"{usage.ru_utime + usage.ru_stime:.1f} s CPU, peak RSS {usage.ru_maxrss / 1024:.0f} MB"
     )
-    if search_s:  # a type whose w0 fails is not searched
-        slowest = max(search_s, key=search_s.get)
-        print(
-            f"lifted-bound search: {sum(search_s.values()):.2f} s CPU over {len(search_s)} "
-            f"types, slowest {slowest} {search_s[slowest]:.3f} s"
-        )
+    for phase, seconds in timings.items():
+        if seconds:  # a type whose w0 fails is not searched
+            slowest = max(seconds, key=seconds.get)
+            print(
+                f"{phase}: {sum(seconds.values()):.2f} s CPU over {len(seconds)} "
+                f"types, slowest {slowest} {seconds[slowest]:.3f} s"
+            )
     if recursion != Counter({True: 248, "NoRelation": 9}):
         failed["recursion"] = [f"{dict(recursion)}, not 248 True and 9 NoRelation"]
     for t, what in failed.items():

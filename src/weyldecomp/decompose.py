@@ -34,12 +34,11 @@ from .rootsys import (
     _root,
     _sequence,
     _support,
-    identity_matrix,
+    _unpack,
     support,
 )
 from .weyl import (
     _reflection_columns,
-    _unpack,
     classify_longest,
     longest_element,
     reflection_product,
@@ -355,20 +354,20 @@ def recursion_relation_check(rs: RootSystem) -> bool:
     reflection in that component's highest root.  The tail roots are
     orthogonal to J and to each other, so all these reflections commute and
     one order suffices.  W_J is the Coxeter group on the simple reflections
-    in J, so w0(J) is walked in rs's own letters: for j in J, column j of an
-    element of W_J is a root of the parabolic with the same height, and the
-    greedy walk from the identity with its letters taken from J stops at
-    w0(J).  The w0 it is compared with comes from the unrestricted walk.
+    in J, so w0(J) is walked in rs's own letters, on the columns of the tail's
+    product T.  T fixes the roots supported in J, so for j in J column j of
+    T.w is column j of w: the walk with its letters taken from J picks those
+    it picks from the identity, and stops at T.w0(J).  The w0 it is compared
+    with comes from the unrestricted walk.
     """
     if str(rs.type) in _NO_RELATION:
         raise NoRelation(f"no cross-rank recursion is defined for {rs.type}")
     theta, perp = next(_cascade(rs))
     J = max(perp, key=len)
-    simple = identity_matrix(rs.rank)
-    inner = [simple[i - 1] for i in _greedy_walk(rs.simple_coroots, [1] * rs.rank, J)]
     top = _highest_by_support(rs)
-    tail = [theta] + [top[K] for K in perp if K != J]
-    return _unpack(_reflection_columns(rs, inner + tail)) == longest_element(rs)
+    cols = _reflection_columns(rs, [theta] + [top[K] for K in perp if K != J])
+    list(_greedy_walk(rs.simple_coroots, cols, J))  # cols end as T.w0(J)
+    return _unpack(cols) == longest_element(rs)
 
 
 class ParabolicTower(_Record):

@@ -21,7 +21,8 @@ and a vector that must be a root and is not raises NotARoot.
 Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
 j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
 vectors is one int operation, and one to one on entries in a lane's signed
-range.  Each caller fixes its width by the largest entry it can meet.
+range, where a root, its entries all of one sign, packs to an int of its
+sign.  Each caller fixes its width by the largest entry it can meet.
 """
 from __future__ import annotations
 
@@ -119,6 +120,18 @@ class _Record:
         return type(self), self._values()
 
 
+def _rank_text(n: int) -> str:
+    """A rank as a message shows it: whole up to 12 digits, else its first 12
+    digits and its digit count.  Python will not convert an int of more than
+    4300 digits to a string, so n is first divided by the power of ten that
+    leaves about its top 20 digits (0.30103 is just above log10 2)."""
+    if abs(n) < 10**12:
+        return str(n)
+    k = max(0, abs(n).bit_length() * 30103 // 100000 - 20)
+    top = str(abs(n) // 10**k)
+    return f"{'-' * (n < 0)}{top[:12]}... ({k + len(top)} digits)"
+
+
 class RootSystemType(_Record):
     """An admissible system type: family in A..G plus rank.
 
@@ -145,7 +158,7 @@ class RootSystemType(_Record):
             or (fam == "G" and n == 2)
         )
         if not admissible:
-            raise InvalidType(f"no root system of type {fam}{n}")
+            raise InvalidType(f"no root system of type {fam}{_rank_text(n)}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -353,56 +366,57 @@ def _lanes(packed: list[int], count: int, width: int) -> memoryview:
     return view if order == "little" else view[::-1]
 
 
-def _greedy_walk(rows: tuple[SparseRow, ...], heights: list[int], letters=None) -> list[int]:
-    """The letters of a greedy walk on column heights, updated in place:
-    while some height among the allowed ``letters`` (ascending, 1-based; all
-    by default) is positive, multiply on the right by s_i for the smallest
-    such i, the lowest bit of a bitmask: s_i clears bit i (h_i turns to -h_i)
-    and sets those of the neighbours it makes positive, along the sparse
-    simple coroot ``rows``.  Heights <a_j, l> of a coweight l go to those of
-    s_i(l), which drops a_i from {b > 0 : <b, l> > 0} and permutes the rest,
-    so the walk stops within N steps (N_J on letters J)."""
-    allowed = (1 << len(heights)) - 1 if letters is None else sum(1 << (i - 1) for i in letters)
-    todo = sum(1 << j for j, h in enumerate(heights) if h > 0) & allowed
-    word = []
+def _unpack(cols: list[int]) -> Matrix:
+    """The matrix of packed columns, one signed byte a coefficient."""
+    n = len(cols)
+    entries = _lanes(cols, n, 1)
+    return tuple(tuple(entries[i::n]) for i in range(n))
+
+
+def _greedy_walk(rows: tuple[SparseRow, ...], values: list, letters=None):
+    """Yield the letters of a greedy walk on an element's column ``values``,
+    updated in place, each letter i before its step, so that the caller may
+    read ``values[i - 1]`` at the yield: while some allowed value (``letters``
+    ascending, 1-based; all by default) is positive, multiply on the right by
+    s_i for the smallest such i, the lowest bit of a mask that a step updates
+    only at i and its neighbours.  A value is a column's height or the column
+    in 1-byte lanes: a root's coefficients share one sign and lie in -6..6,
+    so both are positive exactly when the root is.  Heights <a_j, l> of a
+    coweight l go to those of s_i(l), which drops a_i from {b > 0 : <b, l> > 0}
+    and permutes the rest: the walk stops within N (N_J on letters J) steps."""
+    allowed = (1 << len(values)) - 1 if letters is None else sum(1 << (i - 1) for i in letters)
+    todo = sum(1 << j for j, v in enumerate(values) if v > 0) & allowed
     while todo:
         i = (todo & -todo).bit_length() - 1
-        hi = heights[i]
+        yield i + 1
+        vi = values[i]
         todo ^= 1 << i
         for j, c in rows[i]:
-            h = heights[j] = heights[j] - c * hi
-            if h > 0:
+            v = values[j] = values[j] - c * vi
+            if v > 0:
                 todo |= (1 << j) & allowed
-        word.append(i + 1)
-    return word
 
 
 def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[tuple[Root, ...], Matrix]:
     """The positive roots, by height and then lexicographically, and w0.  From
-    heights all 1 each greedy step sends one more positive root negative, so
-    the walk ends at w0 after exactly N steps, and its word s_i1 ... s_iN
-    reflects each positive root once, at step k b_k = s_i1 ... s_i(k-1)(a_ik):
-    column i_k of the element walked so far.  So the walk is replayed on
-    columns packed in 1-byte lanes (coefficients -6..6), keeping column i
-    before each step; the final columns are w0's."""
+    the identity each greedy step sends one more positive root negative, so
+    the walk on the packed columns ends at w0's after N steps, and its word
+    s_i1 ... s_iN reflects each positive root once, at step k
+    b_k = s_i1 ... s_i(k-1)(a_ik): column i_k, read at the yield."""
     n = len(coroots)
-    heights, cols, roots = [1] * n, _units(n, 1), []
-    for i in _greedy_walk(coroots, heights):
-        v = cols[i - 1]
-        roots.append(v)
-        for j, c in coroots[i - 1]:
-            cols[j] -= c * v
-    assert all(h < 0 for h in heights)
-    lanes = _lanes(roots + cols, n, 1)
-    vectors = list(zip(*[lanes[j::n] for j in range(n)]))  # the roots, then w0's columns
-    positive = sorted(vectors[:-n], key=lambda r: (sum(r), r))
-    return tuple(positive), tuple(zip(*vectors[-n:]))
+    cols = _units(n, 1)
+    roots = [cols[i - 1] for i in _greedy_walk(coroots, cols)]
+    assert all(v < 0 for v in cols)
+    lanes = _lanes(roots, n, 1)
+    positive = sorted(zip(*[lanes[j::n] for j in range(n)]), key=lambda r: (sum(r), r))
+    return tuple(positive), _unpack(cols)
 
 
 def _check_rank(t: RootSystemType) -> RootSystemType:
     """t itself, or TooLarge when its rank is above ``_MAX_RANK`` (64)."""
     if t.rank > _MAX_RANK:
-        raise TooLarge(f"{t} has rank {t.rank}, over the limit of {_MAX_RANK}")
+        rank = _rank_text(t.rank)
+        raise TooLarge(f"{t.family}{rank} has rank {rank}, over the limit of {_MAX_RANK}")
     return t
 
 

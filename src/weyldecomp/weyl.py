@@ -10,7 +10,7 @@ its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
 entry sum) is, so reduced words take their letters from the greedy walk on
 the column heights, ``rootsys._greedy_walk``.  w0 is not walked here: the
-RootSystem holds it, from the walk that enumerates its positive roots.
+RootSystem holds it, from the root enumeration's walk on packed columns.
 
 A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
 rewrite is one int operation; only the final columns, roots with coefficients
@@ -42,6 +42,7 @@ from .rootsys import (
     _sparse_columns,
     _two_rho,
     _units,
+    _unpack,
 )
 
 __all__ = [
@@ -83,13 +84,6 @@ def compose(u: Matrix, v: Matrix) -> Matrix:
     u = _sequence(u, "matrix")
     u, cols = _check_shape(len(u), u), list(zip(*_check_shape(len(u), v)))
     return tuple(tuple(_dot(row, col) for col in cols) for row in u)
-
-
-def _unpack(cols: list[int]) -> Matrix:
-    """The matrix of packed columns, one signed byte a coefficient."""
-    n = len(cols)
-    entries = _lanes(cols, n, 1)
-    return tuple(tuple(entries[i::n]) for i in range(n))
 
 
 def reflection_product(rs: RootSystem, roots) -> Matrix:
@@ -198,7 +192,7 @@ def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     read from m's negated column heights; a matrix outside W fails to evaluate
     back to m."""
     m = _check_shape(rs.rank, m)
-    word = tuple(reversed(_greedy_walk(rs.simple_coroots, [-sum(col) for col in zip(*m)])))
+    word = tuple(_greedy_walk(rs.simple_coroots, [-sum(col) for col in zip(*m)]))[::-1]
     if _unpack(_word_columns(rs, word)) != m:
         raise ValueError("matrix is not a Weyl group element")
     return word

@@ -342,6 +342,13 @@ def test_a_rank_of_more_than_4300_digits_is_a_usage_error():
     assert "_type_arg" not in err
 
 
+def test_a_rank_of_4300_digits_is_refused_in_one_short_line():
+    code, out, err = invoke("info", "--type", "A" + "9" * 4300)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200 and "(4300 digits)" in err
+
+
 def test_usage_error_after_a_valid_type_builds_no_system():
     # The type is parsed and its rank checked while parsing; the system is
     # built only once the whole command line has parsed.

@@ -454,7 +454,7 @@ def test_recursion_walks_w0_of_J_in_the_systems_own_letters():
         rs = system(t)
         _, perp = next(_cascade(rs))
         J = max(perp, key=len)
-        word = _greedy_walk(rs.simple_coroots, [1] * rs.rank, J)
+        word = list(_greedy_walk(rs.simple_coroots, [1] * rs.rank, J))
         assert len(word) == sum(1 for r in rs.positive_roots if set(support(r)) <= set(J)), t
         embedded, tail = embedded_recursion_roots(rs)
         assert evaluate_word(rs, word) == reflection_product(rs, embedded), t

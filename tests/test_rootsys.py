@@ -12,6 +12,7 @@ from weyldecomp import (
     InvalidType,
     NotARoot,
     RootSystemType,
+    TooLarge,
     UnrecognizedDiagram,
     build_root_system,
     cartan_integer,
@@ -74,6 +75,17 @@ def test_a_rank_of_more_than_4300_digits_is_an_invalid_type():
     with pytest.raises(InvalidType, match="5000 digits"):
         parse_type("A" + "9" * 5000)
     assert parse_type("A" + "0" * 4298 + "64") == parse_type("A64")
+
+
+def test_a_rank_of_more_than_4300_digits_is_named_by_its_first_digits():
+    # Python will not convert so long an int to a string (ValueError), so
+    # the messages show its first 12 digits and its digit count instead.
+    with pytest.raises(InvalidType, match=r"type Q100000000000\.\.\. \(5001 digits\)$"):
+        RootSystemType("Q", 10**5000)
+    with pytest.raises(TooLarge, match=r"has rank 999999999999\.\.\. \(5000 digits\), over"):
+        build_root_system(RootSystemType("A", 10**5000 - 1))
+    with pytest.raises(TooLarge, match=r"^A999999999999 has rank 999999999999, over"):
+        build_root_system(RootSystemType("A", 10**12 - 1))
 
 
 def test_positive_root_counts_match_classical_formulas():
@@ -484,6 +496,15 @@ def test_every_root_of_every_supported_type_fits_a_signed_byte():
         assert max(map(max, top.positive_roots)) == {"A": 1, "B": 2, "C": 2, "D": 2}[fam]
     for t, top_coefficient in {"E6": 3, "E7": 4, "E8": 6, "F4": 4, "G2": 3}.items():
         assert max(map(max, system(t).positive_roots)) == top_coefficient, t
+
+
+def test_every_root_packs_in_signed_bytes_to_an_int_of_its_sign():
+    # The greedy walk's sign test reads a packed column as a root: its
+    # coefficients share one sign and lie in -6..6, so the top nonzero lane
+    # gives the int's sign.
+    for t in SUPPORTED:
+        for r in system(t).positive_roots:
+            assert _pack(r, 1) > 0 > _pack(negate(r), 1), (t, r)
 
 
 def test_dominance():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
+from itertools import islice
 from math import prod
 from operator import mul
 
@@ -36,7 +37,7 @@ from weyldecomp import (
     system,
 )
 from weyldecomp.rootsys import _greedy_walk, _two_rho, negate
-from weyldecomp.weyl import _group_order, reflection_product
+from weyldecomp.weyl import _group_order, _word_columns, reflection_product
 
 from util import (
     FULL_SWEEP,
@@ -699,14 +700,17 @@ def test_greedy_walk_matches_the_linear_scan_reference():
     # of a random element and from arbitrary integer heights.  Heights are
     # the labels <a_j, l> of a coweight l, and each step takes one root out
     # of {b > 0 : <b, l> > 0}, so every start stops within N steps, and
-    # within N_J, the positive roots supported in J, on the letters J.
+    # within N_J, the positive roots supported in J, on the letters J.  On
+    # m's columns packed in 1-byte lanes the walk takes the letters it takes
+    # on their heights, and ends at m times those letters.
     for t in FULL_SWEEP + ["A64", "B64", "C64", "D64"]:
         rs = system(t)
         rng = random.Random(t)
         nodes = range(1, rs.rank + 1)
         for _ in range(8 if rs.rank <= 8 else 2):
             J = sorted(rng.sample(nodes, rng.randint(0, rs.rank)))
-            m = evaluate_word(rs, rng.choices(nodes, k=rng.randint(0, 2 * rs.rank)))
+            m_word = rng.choices(nodes, k=rng.randint(0, 2 * rs.rank))
+            m = evaluate_word(rs, m_word)
             starts = [[1] * rs.rank, [sum(col) for col in zip(*m)]]
             starts.append([rng.randint(-3, 3) for _ in nodes])
             starts.append([rng.randint(-(10**6), 10**6) for _ in nodes])
@@ -715,9 +719,14 @@ def test_greedy_walk_matches_the_linear_scan_reference():
                 bound = sum(1 for r in rs.positive_roots if set(support(r)) <= allowed)
                 for start in starts:
                     heights = list(start)
-                    word = _greedy_walk(rs.simple_coroots, heights, letters)
+                    walk = _greedy_walk(rs.simple_coroots, heights, letters)
+                    word = list(islice(walk, bound + 1))  # a runaway walk fails, not hangs
                     assert len(word) <= bound, (t, J)
                     assert (word, heights) == reference_greedy_walk(rs, start, letters), (t, J)
+                cols = _word_columns(rs, m_word)
+                word = list(_greedy_walk(rs.simple_coroots, cols, letters))
+                assert word == reference_greedy_walk(rs, starts[1], letters)[0], (t, J)
+                assert cols == _word_columns(rs, m_word + word), (t, J)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,6 @@ from weyldecomp import (
     parabolic_embedding,
     reduced_word_of,
     simple_reflection,
-    system,
 )
 from weyldecomp.rootsys import (
     _dot,
@@ -382,10 +381,6 @@ def reflection_distances(rs: RootSystem) -> dict[Matrix, int]:
     reflections, each built by ``tuple_reflection_product``."""
     reflections = [tuple_reflection_product(rs, [r]) for r in rs.positive_roots]
     return _cayley_distances(rs, reflections)
-
-
-def build(t: str) -> RootSystem:
-    return system(t)
 
 
 # Most nodes reference_max_orthogonal visits before it raises TooLarge.  The
