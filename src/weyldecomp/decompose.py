@@ -33,6 +33,7 @@ from .rootsys import (
     _pairing2,
     _root,
     _sequence,
+    _shown,
     _support,
     _unpack,
     support,
@@ -89,7 +90,7 @@ class Decomposition(_Record):
         factors = _sequence(self.factors, "factor list")
         for f in factors:
             if not isinstance(f, DecompositionFactor):
-                raise DimensionMismatch(f"factor {f!r} is not a DecompositionFactor")
+                raise DimensionMismatch(f"factor {_shown(f)} is not a DecompositionFactor")
         return tuple(f.root for f in factors)
 
     def product(self) -> Matrix:
@@ -102,7 +103,7 @@ def decomposition_from_roots(rs: RootSystem, roots) -> Decomposition:
     checked = [_integers(r, "root") for r in _sequence(roots, "root list")]
     for r in checked:
         if r not in rs.root_index:
-            raise NotARoot(f"{r} is not a positive root of {rs.type}")
+            raise NotARoot(f"{_shown(r)} is not a positive root of {rs.type}")
     factors = (DecompositionFactor(r, "simple" if sum(r) == 1 else "highest") for r in checked)
     return Decomposition(system=rs, factors=tuple(factors))
 
@@ -179,7 +180,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
         are linearly independent, so more can never occur in a valid set).
     """
     if not isinstance(dec, Decomposition):
-        raise DimensionMismatch(f"decomposition {dec!r} is not a Decomposition")
+        raise DimensionMismatch(f"decomposition {_shown(dec)} is not a Decomposition")
     roots = [_root(rs, r) for r in dec.roots]
     rows = [_coroot(rs, x) for x in roots]
     orthogonal = all(_pair(y, row) == 0 for i, row in enumerate(rows) for y in roots[i + 1 :])
@@ -323,8 +324,8 @@ def enumerate_max_orthogonal(
     npos = len(rs.positive_roots)
     if rs.rank > rank_bound and npos > size_bound:
         raise TooLarge(
-            f"{rs.type} has rank {rs.rank} > {rank_bound} and {npos} > {size_bound} "
-            "positive roots; raise the bounds to search anyway"
+            f"{rs.type} has rank {rs.rank} > {_shown(rank_bound)} and {npos} > "
+            f"{_shown(size_bound)} positive roots; raise the bounds to search anyway"
         )
     w0 = longest_element(rs)
     sigma = classify_longest(rs).automorphism

@@ -1,7 +1,11 @@
 """Exception hierarchy for weyldecomp.
 
-Every error raised by the library derives from :class:`WeylError`, so callers
-(including the CLI) can catch one base class and map failures to diagnostics.
+Every error raised for a caller's value derives from :class:`WeylError`, so
+callers (including the CLI) can catch one base class, except the documented
+``ValueError("matrix is not a Weyl group element")`` that ``reduced_word_of``,
+``length_of``, ``descents`` and ``count_reduced_words`` raise for a matrix
+outside W.  A message shows an int of 13 or more digits by its first 12
+digits and its digit count, so no int is too long for it.
 """
 from __future__ import annotations
 

@@ -15,8 +15,10 @@ squared length.
 
 Inputs are read once, where a public function receives them: a list is read
 as its tuple, a value that is not a sequence or an entry that is not an
-integer (a float or a str; a bool counts as 0 or 1) raises DimensionMismatch,
-and a vector that must be a root and is not raises NotARoot.
+integer (a float or a str; a bool counts as 0 or 1) raises DimensionMismatch
+or the error its caller names (``_integers``), as does an index outside 1..rank
+(``_indices``), and a vector that must be a root and is not raises NotARoot.
+Every message shows a caller's value through ``_shown``.
 
 Walks keep an integer vector v as one int, sum(v_j * 256**(width*j)), entry
 j in lane j of ``width`` bytes: Z-linear, so a sum or multiple of packed
@@ -67,6 +69,7 @@ Matrix = tuple[tuple[int, ...], ...]
 SparseRow = tuple[tuple[int, int], ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+_EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
 
 # Largest rank build_root_system accepts: without a limit, the steeply growing
 # cost of a system and its w0 keeps a type such as A1000 running for minutes.
@@ -120,16 +123,22 @@ class _Record:
         return type(self), self._values()
 
 
-def _rank_text(n: int) -> str:
-    """A rank as a message shows it: whole up to 12 digits, else its first 12
-    digits and its digit count.  Python will not convert an int of more than
-    4300 digits to a string, so n is first divided by the power of ten that
-    leaves about its top 20 digits (0.30103 is just above log10 2)."""
-    if abs(n) < 10**12:
-        return str(n)
-    k = max(0, abs(n).bit_length() * 30103 // 100000 - 20)
-    top = str(abs(n) // 10**k)
-    return f"{'-' * (n < 0)}{top[:12]}... ({k + len(top)} digits)"
+def _shown(value) -> str:
+    """A caller's value as a message shows it: an int whole up to 12 digits,
+    else its first 12 digits and its digit count, after dividing off the power
+    of ten that leaves about 20 digits (0.30103 is just above log10 2); any
+    other value its repr, or its type if that holds an int Python will not
+    convert to a string (one of more than 4300 digits)."""
+    if not isinstance(value, int):
+        try:
+            return repr(value)
+        except ValueError:
+            return f"<{type(value).__name__}>"
+    if abs(value) < 10**12:
+        return str(value)
+    k = max(0, abs(value).bit_length() * 30103 // 100000 - 20)
+    top = str(abs(value) // 10**k)
+    return f"{'-' * (value < 0)}{top[:12]}... ({k + len(top)} digits)"
 
 
 class RootSystemType(_Record):
@@ -145,23 +154,16 @@ class RootSystemType(_Record):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        try:  # read as ``_integers`` reads entries: a bool rank becomes its int
-            n = index(self.rank)
-        except TypeError:
-            raise InvalidType(f"root-system rank {self.rank!r} is not an integer") from None
+        (n,) = _integers([self.rank], "root-system rank", InvalidType)  # a bool becomes its int
         object.__setattr__(self, "rank", n)
         fam = self.family
-        admissible = isinstance(fam, str) and (
-            (fam in _MIN_RANK and n >= _MIN_RANK[fam])
-            or (fam == "E" and n in (6, 7, 8))
-            or (fam == "F" and n == 4)
-            or (fam == "G" and n == 2)
-        )
-        if not admissible:
-            raise InvalidType(f"no root system of type {fam}{_rank_text(n)}")
+        if not isinstance(fam, str):
+            raise InvalidType(f"root-system family {_shown(fam)} is not a str")
+        if not (fam in _MIN_RANK and n >= _MIN_RANK[fam] or (fam, n) in _EXCEPTIONAL):
+            raise InvalidType(f"no root system of type {fam}{_shown(n)}")
 
     def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
+        return f"{self.family}{_shown(self.rank)}"
 
 
 def parse_type(text: str) -> RootSystemType:
@@ -170,7 +172,7 @@ def parse_type(text: str) -> RootSystemType:
     read, whatever limit the interpreter puts on reading long digit strings."""
     fam, digits = (text[:1], text[1:]) if isinstance(text, str) else ("", "")
     if fam not in "ABCDEFG" or not (digits.isascii() and digits.isdigit()):
-        raise InvalidType(f"cannot parse root-system type {text!r}")
+        raise InvalidType(f"cannot parse root-system type {_shown(text)}")
     if len(digits) > _MAX_RANK_DIGITS:
         raise InvalidType(f"root-system type {text[:12]}... has a rank of {len(digits)} digits")
     return RootSystemType(fam, int(digits))
@@ -216,17 +218,15 @@ class RootSystem(_Record):
 
     def simple_root(self, i: int) -> Root:
         """The i-th simple root (1-based) as a coefficient vector."""
-        try:
-            i = index(i)
-        except TypeError:
-            raise DimensionMismatch(f"simple-root index {i!r} is not an integer") from None
-        if not 1 <= i <= self.rank:
-            raise DimensionMismatch(f"simple-root index {i} outside 1..{self.rank}")
+        (i,) = _indices([i], self.rank, DimensionMismatch, "simple root")
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
 
 def identity_matrix(n: int) -> Matrix:
-    """The n x n identity; its rows are the simple roots."""
+    """The n x n identity, its rows the simple roots, for an integer n up to ``_MAX_RANK``."""
+    (n,) = _integers([n], "size")
+    if n > _MAX_RANK:
+        raise TooLarge(f"identity of size {_shown(n)} is over the limit of {_MAX_RANK}")
     return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
@@ -300,16 +300,25 @@ def _sequence(values, what: str, error=DimensionMismatch) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise error(f"{what} {values!r} is not a sequence") from None
+        raise error(f"{what} {_shown(values)} is not a sequence") from None
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints, taken through ``index``; DimensionMismatch
-    names ``what`` when it is not a sequence or an entry is not an integer."""
+def _integers(values, what: str, error=DimensionMismatch) -> tuple[int, ...]:
+    """values as a tuple of ints, taken through ``index``; ``error`` names
+    ``what`` when it is not a sequence or an entry is not an integer."""
     try:
-        return tuple(map(index, _sequence(values, what)))
+        return tuple(map(index, _sequence(values, what, error)))
     except TypeError:
-        raise DimensionMismatch(f"{what} {values!r} has an entry that is not an integer") from None
+        raise error(f"{what} {_shown(values)} has an entry that is not an integer") from None
+
+
+def _indices(values, rank: int, error, what: str) -> tuple[int, ...]:
+    """values as ``_integers`` reads them, and ``error`` for an entry outside 1..rank."""
+    values = _integers(values, what, error)
+    low, high = min(values, default=1), max(values, default=rank)
+    if low < 1 or high > rank:
+        raise error(f"{what}: index {_shown(low if low < 1 else high)} outside 1..{rank}")
+    return values
 
 
 def _vector(n: int, x) -> Root:
@@ -415,8 +424,7 @@ def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[tuple[Roo
 def _check_rank(t: RootSystemType) -> RootSystemType:
     """t itself, or TooLarge when its rank is above ``_MAX_RANK`` (64)."""
     if t.rank > _MAX_RANK:
-        rank = _rank_text(t.rank)
-        raise TooLarge(f"{t.family}{rank} has rank {rank}, over the limit of {_MAX_RANK}")
+        raise TooLarge(f"{t} has rank {_shown(t.rank)}, over the limit of {_MAX_RANK}")
     return t
 
 
@@ -445,7 +453,7 @@ def _root(rs: RootSystem, x) -> Root:
     is a positive root of rs."""
     x = _integers(x, "root")
     if x not in rs.root_index and negate(x) not in rs.root_index:
-        raise NotARoot(f"{x} is not a root of {rs.type}")
+        raise NotARoot(f"{_shown(x)} is not a root of {rs.type}")
     return x
 
 
@@ -514,15 +522,8 @@ def _components(rs: RootSystem, indices) -> list[tuple[int, ...]]:
 
 
 def _index_set(rs: RootSystem, J) -> tuple[int, ...]:
-    """J's distinct entries, ascending, taken through ``index``;
-    DisconnectedSubset unless each is an integer in 1..rank."""
-    try:
-        indices = tuple(sorted({index(i) for i in J}))
-    except TypeError:
-        raise DisconnectedSubset(f"index set {J!r} is not a set of integers") from None
-    if any(not 1 <= i <= rs.rank for i in indices):
-        raise DisconnectedSubset(f"index set {list(indices)} is not a subset of 1..{rs.rank}")
-    return indices
+    """J's distinct entries, ascending, read by ``_indices`` (DisconnectedSubset)."""
+    return tuple(sorted(set(_indices(J, rs.rank, DisconnectedSubset, "index set"))))
 
 
 def is_connected(rs: RootSystem, indices: tuple[int, ...]) -> bool:
@@ -634,7 +635,6 @@ def format_root(x: Root) -> str:
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        coeff = "" if mag == 1 else str(mag)
+        coeff = "" if abs(c) == 1 else _shown(abs(c))
         parts.append(f"{sign}{coeff}a{i}")
     return "".join(parts) if parts else "0"

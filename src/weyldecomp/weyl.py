@@ -21,7 +21,7 @@ step up is one int operation.
 from __future__ import annotations
 
 from collections import Counter
-from operator import index, mul
+from operator import mul
 
 from .errors import BadLetter, DimensionMismatch, TooLarge
 from .rootsys import (
@@ -32,6 +32,7 @@ from .rootsys import (
     _coroot,
     _dot,
     _greedy_walk,
+    _indices,
     _integers,
     _lanes,
     _pack,
@@ -39,6 +40,7 @@ from .rootsys import (
     _pairing2,
     _root,
     _sequence,
+    _shown,
     _sparse_columns,
     _two_rho,
     _units,
@@ -114,16 +116,10 @@ def reflection_of(rs: RootSystem, a: Root) -> Matrix:
 def evaluate_word(rs: RootSystem, word) -> Matrix:
     """Evaluate a word of simple-reflection letters, rightmost applied first.
     A letter is an integer in 1..rank; a bool is not a letter."""
-    letters = []
-    for letter in _sequence(word, "word", BadLetter):
-        try:
-            i = index(None if isinstance(letter, bool) else letter)
-        except TypeError:
-            raise BadLetter(f"letter {letter!r} is not an integer") from None
-        if not 1 <= i <= rs.rank:
-            raise BadLetter(f"letter {letter} outside 1..{rs.rank}")
-        letters.append(i)
-    return _unpack(_word_columns(rs, letters))
+    word = _sequence(word, "word", BadLetter)
+    if bool in map(type, word):
+        raise BadLetter(f"word {_shown(word)} has a bool, which is not a letter")
+    return _unpack(_word_columns(rs, _indices(word, rs.rank, BadLetter, "word")))
 
 
 def _word_columns(rs: RootSystem, word) -> list[int]:
@@ -242,7 +238,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     if longest and (order := _group_order(rs)) > state_bound:
         raise TooLarge(
             f"reduced-word search for the longest element of {rs.type} needs "
-            f"{order} states, over the bound of {state_bound}"
+            f"{order} states, over the bound of {_shown(state_bound)}"
         )
     word = reduced_word_of(rs, m)
     n = rs.rank
@@ -251,7 +247,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
     layer = {_pack([_pair(image, row) for row in rs.simple_coroots], 2): 1}
     states = 1
     if states > state_bound:
-        raise TooLarge(f"reduced-word search exceeded {state_bound} states")
+        raise TooLarge(f"reduced-word search exceeded {_shown(state_bound)} states")
     for _ in range((len(word) + 1) // 2 if longest else len(word)):
         previous = layer
         ways: dict[int, int] = {}
@@ -264,7 +260,7 @@ def count_reduced_words(rs: RootSystem, m: Matrix, *, state_bound: int = 10**6) 
         layer = ways
         states += len(layer)
         if states > state_bound:
-            raise TooLarge(f"reduced-word search exceeded {state_bound} states")
+            raise TooLarge(f"reduced-word search exceeded {_shown(state_bound)} states")
     if longest:
         half = previous if len(word) % 2 else layer
         return sum(k * half.get(-x, 0) for x, k in layer.items())

@@ -27,7 +27,7 @@ case: about 1.2 us at rank 64 on a 2-core VM.
 from __future__ import annotations
 
 from itertools import chain, islice, repeat
-from operator import index, mul, sub
+from operator import mul, sub
 
 from .errors import BadRange, DimensionMismatch, NotARoot, Orthogonal, Proportional
 from .rootsys import (
@@ -37,11 +37,13 @@ from .rootsys import (
     _Record,
     _coroot,
     _coroot_and_norm,
+    _indices,
     _lanes,
     _pack,
     _pair,
     _pairing2,
     _root,
+    _shown,
     _sparse_columns,
     _two_rho,
     identity_matrix,
@@ -131,7 +133,7 @@ def predicted_conjugate(rs: RootSystem, a: Root, b: Root, case: ConjugationCase)
     """The closed-form conjugate for a classified pair: b + k*a or b - k*a."""
     a, b = _root(rs, a), _root(rs, b)
     if not isinstance(case, ConjugationCase):
-        raise DimensionMismatch(f"case {case!r} is not a ConjugationCase")
+        raise DimensionMismatch(f"case {_shown(case)} is not a ConjugationCase")
     k = case.coefficient if case.sign == "Minus" else -case.coefficient
     return positive_representative(rs, tuple(bc + k * ac for bc, ac in zip(b, a)))
 
@@ -139,13 +141,9 @@ def predicted_conjugate(rs: RootSystem, a: Root, b: Root, case: ConjugationCase)
 def _check_range(rs: RootSystem, k: int, n: int, *, allow_equal: bool = False) -> tuple[int, int]:
     if rs.family != "A":
         raise BadRange(f"identity defined in family A only, not {rs.type}")
-    try:
-        k, n = index(k), index(n)
-    except TypeError:
-        raise BadRange(f"need integers k and n, got k={k!r}, n={n!r}") from None
-    if not (1 <= k <= n <= rs.rank and (allow_equal or k < n)):
-        op = "<=" if allow_equal else "<"
-        raise BadRange(f"need 1 <= k {op} n <= {rs.rank}, got k={k}, n={n}")
+    k, n = _indices((k, n), rs.rank, BadRange, "k and n")
+    if k > n or k == n and not allow_equal:
+        raise BadRange(f"need k {'<=' if allow_equal else '<'} n, got k={k}, n={n}")
     return k, n
 
 

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weyldecomp
 from weyldecomp import (
     ConjugationCase,
     Decomposition,
     DimensionMismatch,
+    RootSystem,
+    RootSystemType,
     WeylError,
     apply_matrix,
     cartan_integer,
+    check_lambda_v,
+    check_permutation_lemma,
     classify_conjugation,
     compose,
     conjugated_root,
@@ -24,18 +29,26 @@ from weyldecomp import (
     decomposition_from_roots,
     dominance_leq,
     enumerate_max_orthogonal,
+    errors,
     evaluate_word,
+    format_root,
+    height,
+    highest_root_of,
     identity_matrix,
     is_connected,
     is_root,
     length_of,
     longest_element,
     pairing2,
+    parabolic_embedding,
+    parse_type,
     positive_representative,
     predicted_conjugate,
     preserves_form,
     reduced_word_of,
     reflection_of,
+    simple_reflection,
+    support,
     system,
     verify_decomposition,
 )
@@ -205,6 +218,12 @@ def _words(rs):
     return st.lists(st.integers(0, rs.rank + 1), max_size=6).map(tuple)
 
 
+def _named(name: str, f):
+    """f under the public name it calls, for the coverage check below."""
+    f.__name__ = name
+    return f
+
+
 _ARGUMENTS = {
     "vector": _vectors,
     "vectors": lambda rs: st.lists(_vectors(rs), max_size=3),
@@ -213,6 +232,13 @@ _ARGUMENTS = {
     "element": lambda rs: _matrices(rs, outside_w=False),
     "indices": _index_sets,
     "word": _words,
+    # one simple-root index or letter; 5 is outside 1..rank on every system drawn
+    "index": lambda rs: st.integers(-1, rs.rank + 1),
+    "bound": lambda rs: st.integers(-2, 50),
+    "size": lambda rs: st.integers(-1, 5),
+    "family": lambda rs: st.sampled_from("ABEFGQ"),
+    "rank": lambda rs: st.integers(-1, 9),
+    "text": lambda rs: st.sampled_from(["A3", "E5", "Q2", "A", "", "A65", "G2"]),
     # Records, not rewritten entry by entry: only 5 and None replace them.
     "decomposition": lambda rs: st.lists(st.sampled_from(rs.positive_roots), max_size=3).map(
         lambda roots: decomposition_from_roots(rs, roots)
@@ -224,8 +250,16 @@ _ARGUMENTS = {
         st.integers(1, 3),
     ),
 }
-# What replaces a record: 5 and None, and for a Decomposition also records
-# whose factors are not a sequence of DecompositionFactor records.
+def _not_integers(rs):
+    return [None, "3", 3.0, [3]]
+
+
+# What replaces an argument that is not rewritten entry by entry: for a
+# record 5 and None, and for a Decomposition also records whose factors are
+# not a sequence of DecompositionFactor records; for a family or a type text
+# 5 and None; and for an integer whose value sets the answer (a bound, a
+# size, a rank), where 5 would be a valid other question, values that are not
+# integers.
 _RECORDS = {
     "decomposition": lambda rs: [
         5,
@@ -233,7 +267,15 @@ _RECORDS = {
         *(Decomposition(rs, junk) for junk in (5, None, (5,), (None,), (rs.positive_roots[0],))),
     ],
     "case": lambda rs: [5, None],
+    "family": lambda rs: [5, None],
+    "text": lambda rs: [5, None],
+    "bound": _not_integers,
+    "size": _not_integers,
+    "rank": _not_integers,
 }
+# Hostile in place of any argument: an int Python will not convert to a
+# string (over 4300 digits), alone and in a list.
+_HOSTILE = [10**5000, [10**5000]]
 
 # (function, whether it takes the system first, its other arguments' kinds)
 _BOUNDARY = [
@@ -254,7 +296,75 @@ _BOUNDARY = [
     (length_of, True, ["element"]),
     (verify_decomposition, True, ["decomposition"]),
     (predicted_conjugate, True, ["vector", "vector", "case"]),
+    (RootSystem.simple_root, True, ["index"]),
+    (simple_reflection, True, ["index"]),
+    (format_root, False, ["vector"]),
+    (support, False, ["vector"]),
+    (height, False, ["vector"]),
+    (highest_root_of, True, ["indices"]),
+    (parabolic_embedding, True, ["indices"]),
+    (check_lambda_v, True, ["index", "index"]),
+    (check_permutation_lemma, True, ["index", "index"]),
+    (preserves_form, True, ["matrix"]),
+    (identity_matrix, False, ["size"]),
+    (parse_type, False, ["text"]),
+    (system, False, ["text"]),
+    (
+        _named("RootSystemType", lambda family, rank: str(RootSystemType(family, rank))),
+        False,
+        ["family", "rank"],
+    ),
+    (
+        _named("count_reduced_words", lambda rs, m, b: count_reduced_words(rs, m, state_bound=b)),
+        True,
+        ["element", "bound"],
+    ),
+    (
+        _named(
+            "enumerate_max_orthogonal",
+            lambda rs, r, s: enumerate_max_orthogonal(rs, rank_bound=r, size_bound=s),
+        ),
+        True,
+        ["bound", "bound"],
+    ),
 ]
+
+# Public names left out of the table, each with its reason.
+_EXEMPT = {
+    **dict.fromkeys(errors.__all__, "an exception class"),
+    **dict.fromkeys(["Matrix", "Root"], "a type alias"),
+    **dict.fromkeys(
+        [
+            "ConjugationCase",
+            "Decomposition",
+            "DecompositionFactor",
+            "LongestClassification",
+            "ParabolicTower",
+            "RootSystem",
+            "VerificationReport",
+        ],
+        "a record: the functions that read its fields check them",
+    ),
+    **dict.fromkeys(
+        [
+            "canonical_decomposition",
+            "classify_longest",
+            "dn_orthogonality_pattern",
+            "epsilon_factorization",
+            "longest_element",
+            "parabolic_tower",
+            "recursion_relation_check",
+        ],
+        "reads no value but the system",
+    ),
+    **dict.fromkeys(
+        ["descents", "reduced_word_of"],
+        "a matrix outside W raises ValueError, as documented (length_of and "
+        "count_reduced_words, in the table, are given elements of W only)",
+    ),
+    "build_root_system": "takes a RootSystemType, which the RootSystemType row reads from "
+    "caller values; its lru_cache hashes any other value before a check can run",
+}
 
 _ENTRY = {
     "list": lambda c: c,
@@ -282,7 +392,7 @@ def _outcome(f, args):
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1000, deadline=None)
 def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     # Lists are read as tuples and bools as 0 and 1; float and str entries,
     # wrong lengths, ragged rows, an argument that is not a sequence (5,
@@ -290,7 +400,9 @@ def test_public_inputs_are_read_as_int_tuples_or_refused(data):
     # ConjugationCase) and a Decomposition of values that are not factors
     # raise a WeylError.  An answer is compared by repr, so
     # a float that equals its int does not pass for it.  The checks raise
-    # AssertionError explicitly, so python -O keeps them.
+    # AssertionError explicitly, so python -O keeps them.  A 5001-digit int,
+    # alone or in a list, in place of any argument ends in an answer or a
+    # WeylError, never in the ValueError of converting it to a string.
     rs = data.draw(st.sampled_from(["A3", "B3", "C3", "D4", "G2"]).map(system))
     f, takes_system, kinds = data.draw(st.sampled_from(_BOUNDARY))
     args = [data.draw(_ARGUMENTS[kind](rs)) for kind in kinds]
@@ -306,6 +418,16 @@ def test_public_inputs_are_read_as_int_tuples_or_refused(data):
             got = _outcome(f, head + changed)
             if not isinstance(got, WeylError) and repr(got) != expected:
                 raise AssertionError(f"{f.__name__}{tuple(changed)}: {got!r}, not {expected}")
+        for arg in _HOSTILE:  # an answer or a WeylError; any other exception escapes
+            _outcome(f, head + args[:k] + [arg] + args[k + 1 :])
+
+
+def test_every_public_name_is_in_the_boundary_table_or_exempt():
+    covered = {f.__name__ for f, _, _ in _BOUNDARY}
+    public = set(weyldecomp.__all__)
+    assert not public - covered - set(_EXEMPT), sorted(public - covered - set(_EXEMPT))
+    assert not covered & set(_EXEMPT), sorted(covered & set(_EXEMPT))
+    assert set(_EXEMPT) <= public, sorted(set(_EXEMPT) - public)
 
 
 def test_keyword_bounds_are_read_as_integers_or_refused():

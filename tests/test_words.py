@@ -29,7 +29,7 @@ from weyldecomp import (
 )
 from weyldecomp.rootsys import _coroot, _pack, _pair, _sparse_columns, _two_rho
 
-from util import FULL_SWEEP, coroot_table, tuple_conjugation_suite
+from util import FULL_SWEEP, SUPPORTED, coroot_table, degrees, tuple_conjugation_suite
 
 
 def test_conjugated_root_fixtures():
@@ -352,6 +352,42 @@ def test_packed_sweep_equals_the_tuple_sweep():
     for t in FULL_SWEEP + ["A20", "D16"]:
         rs = system(t)
         assert words._conjugation_suite(rs) == tuple_conjugation_suite(rs), t
+
+
+def _sweep_counts(t: str) -> tuple[int, int]:
+    """(P, K) of the conjugation sweep by closed forms: P = N(N - 1) ordered
+    pairs of distinct positive roots, N the sum of d - 1 over the degrees d,
+    and K of them named by ``_CASE_TABLE``, by family, with the Coxeter
+    number h the largest degree.
+
+    ADE: for a root a, the sum of <b, a-check>^2 over all roots b is 4h.
+    b = +-a gives 8, so 4h - 8 roots pair with a to +-1, one of each pair
+    +-b positive: 2h - 4 positive partners, all named LongLong, and
+    K = N(2h - 4).  B_n: the long roots form D_n, n(n - 1)(4n - 8) pairs;
+    each long root e_i +- e_j meets the short roots e_i and e_j, named both
+    ways, 4n(n - 1) more; short roots are mutually orthogonal.  C_n: the
+    short roots form D_n; short e_i +- e_j to long 2e_i and 2e_j is named
+    ShortLong_C, 2n(n - 1) pairs, but long to short is not; long roots are
+    mutually orthogonal.  G2: each of the 3 short roots is orthogonal to one
+    of the 3 long roots, and only short-long pairs are named, both ways: 12.
+    F4: the 12 positive long roots e_i +- e_j form D4, which gives
+    12 * (2*6 - 4) = 96 pairs.  Each long root e_i +- e_j pairs non-trivially
+    with 6 of the 12 positive short roots: e_i, e_j, and the 4 of the 8
+    half-spin roots (x_1, .., x_4)/2 with x_i +- x_j != 0, so 72 long-short
+    and 72 short-long pairs are named.  Two short roots pair to
+    |2(a, b)| = 1 at most, which the table does not name: K = 240."""
+    d = degrees(t)
+    fam, n, h, N = t[0], int(t[1:]), max(d), sum(d) - len(d)
+    named = {"B": 4 * n * (n - 1) ** 2, "C": n * (n - 1) * (4 * n - 6), "F": 240, "G": 12}
+    return N * (N - 1), N * (2 * h - 4) if fam in "ADE" else named[fam]
+
+
+def test_sweep_counts_match_their_closed_forms_up_to_rank_20():
+    # A second route for check-identities' "(P pairs, K named cases)";
+    # scripts/check_verbs.py checks the same forms at the rank limit.
+    for t in SUPPORTED:
+        if int(t[1:]) <= 20:
+            assert words._conjugation_suite(system(t)) == (True, *_sweep_counts(t)), t
 
 
 def test_conjugated_root_is_the_reflected_target_on_every_swept_pair():
