@@ -115,7 +115,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        shown = (f"{n}={_shown(getattr(self, n))}" for n in self.__slots__ if n not in self._hidden)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __reduce__(self):
@@ -185,20 +185,22 @@ class RootSystem(_Record):
     ``simple_coroots`` their sparse coroots, the rows every walk reads,
     ``positive_roots`` lists every positive root ordered by height and then
     lexicographically by coefficient vector, ``root_index`` maps each
-    positive root to its position in that list, and ``longest`` is the
-    longest element w0, kept from the walk that enumerates the roots.
-    Instances are immutable and shared: :func:`build_root_system` caches them
-    per type, and they compare and hash by identity.
+    positive root to its position in that list, ``longest`` is the longest
+    element w0 and ``longest_word`` its canonical reduced word (see
+    ``weyl.reduced_word_of``), both kept from the walk that enumerates the
+    roots.  Instances are immutable and shared: :func:`build_root_system`
+    caches them per type, and they compare and hash by identity.
     """
 
-    __slots__ = ("type", "gram2", "simple_coroots", "positive_roots", "root_index", "longest")
-    _hidden = ("simple_coroots", "positive_roots", "root_index", "longest")
+    _hidden = ("simple_coroots", "positive_roots", "root_index", "longest", "longest_word")
+    __slots__ = ("type", "gram2", *_hidden)
     type: RootSystemType
     gram2: Matrix
     simple_coroots: tuple[SparseRow, ...]
     positive_roots: tuple[Root, ...]
     root_index: dict[Root, int]
     longest: Matrix
+    longest_word: tuple[int, ...]
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -406,19 +408,24 @@ def _greedy_walk(rows: tuple[SparseRow, ...], values: list, letters=None):
                 todo |= (1 << j) & allowed
 
 
-def _enumerate_positive_roots(coroots: tuple[SparseRow, ...]) -> tuple[tuple[Root, ...], Matrix]:
-    """The positive roots, by height and then lexicographically, and w0.  From
-    the identity each greedy step sends one more positive root negative, so
-    the walk on the packed columns ends at w0's after N steps, and its word
-    s_i1 ... s_iN reflects each positive root once, at step k
-    b_k = s_i1 ... s_i(k-1)(a_ik): column i_k, read at the yield."""
+def _enumerate_positive_roots(
+    coroots: tuple[SparseRow, ...],
+) -> tuple[tuple[Root, ...], Matrix, tuple[int, ...]]:
+    """The positive roots, by height and then lexicographically, w0, and w0's
+    canonical reduced word.  From the identity each greedy step sends one
+    more positive root negative, so the walk on the packed columns ends at
+    w0's after N steps, and its word s_i1 ... s_iN reflects each positive root
+    once, at step k b_k = s_i1 ... s_i(k-1)(a_ik): column i_k, read at the
+    yield.  The right descents of w0.x are the right ascents of x, so the
+    descent walk down from w0 takes the same letters: the canonical word is
+    i_N ... i_1."""
     n = len(coroots)
     cols = _units(n, 1)
-    roots = [cols[i - 1] for i in _greedy_walk(coroots, cols)]
+    letters, roots = zip(*[(i, cols[i - 1]) for i in _greedy_walk(coroots, cols)])
     assert all(v < 0 for v in cols)
     lanes = _lanes(roots, n, 1)
     positive = sorted(zip(*[lanes[j::n] for j in range(n)]), key=lambda r: (sum(r), r))
-    return tuple(positive), _unpack(cols)
+    return tuple(positive), _unpack(cols), letters[::-1]
 
 
 def _check_rank(t: RootSystemType) -> RootSystemType:
@@ -428,15 +435,26 @@ def _check_rank(t: RootSystemType) -> RootSystemType:
     return t
 
 
-@lru_cache(maxsize=None)
 def build_root_system(t: RootSystemType) -> RootSystem:
     """Construct (and cache) the root system of an admissible type; a rank
-    above ``_MAX_RANK`` (64) raises TooLarge before any root is enumerated."""
+    above ``_MAX_RANK`` (64) raises TooLarge before any root is enumerated,
+    and a value that is not a RootSystemType raises InvalidType."""
+    if not isinstance(t, RootSystemType):
+        raise InvalidType(f"{_shown(t)} is not a RootSystemType")
+    return _build_root_system(t)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(t: RootSystemType) -> RootSystem:
     gram2 = _gram2_for(_check_rank(t))
     coroots = _simple_coroots(gram2)
-    positive, longest = _enumerate_positive_roots(coroots)
+    positive, longest, word = _enumerate_positive_roots(coroots)
     index = {r: i for i, r in enumerate(positive)}
-    return RootSystem(t, gram2, coroots, positive, index, longest)
+    return RootSystem(t, gram2, coroots, positive, index, longest, word)
+
+
+build_root_system.cache_info = _build_root_system.cache_info
+build_root_system.cache_clear = _build_root_system.cache_clear
 
 
 def system(text: str) -> RootSystem:

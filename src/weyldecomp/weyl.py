@@ -10,7 +10,8 @@ its Dynkin neighbours change; the RootSystem holds these rows as
 ``simple_coroots``.  A column is a root, positive exactly when its height (its
 entry sum) is, so reduced words take their letters from the greedy walk on
 the column heights, ``rootsys._greedy_walk``.  w0 is not walked here: the
-RootSystem holds it, from the root enumeration's walk on packed columns.
+RootSystem holds it and its reduced word, both from the root enumeration's
+walk on packed columns, and ``reduced_word_of`` reads that word for w0.
 
 A walk keeps its columns packed in 1-byte lanes (see ``rootsys``), so a
 rewrite is one int operation; only the final columns, roots with coefficients
@@ -186,8 +187,11 @@ def classify_longest(rs: RootSystem) -> LongestClassification:
 def reduced_word_of(rs: RootSystem, m: Matrix) -> tuple[int, ...]:
     """A canonical reduced word for m: repeatedly strip the smallest descent,
     read from m's negated column heights; a matrix outside W fails to evaluate
-    back to m."""
+    back to m.  For w0 it is the word the system keeps from the build's walk
+    (``rootsys._enumerate_positive_roots``), which takes the same letters."""
     m = _check_shape(rs.rank, m)
+    if m == rs.longest:
+        return rs.longest_word
     word = tuple(_greedy_walk(rs.simple_coroots, [-sum(col) for col in zip(*m)]))[::-1]
     if _unpack(_word_columns(rs, word)) != m:
         raise ValueError("matrix is not a Weyl group element")

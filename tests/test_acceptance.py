@@ -27,7 +27,7 @@ from weyldecomp import (
     verify_decomposition,
 )
 
-from util import FULL_SWEEP
+from util import FULL_SWEEP, degrees
 
 
 def report(number: int, description: str, ok: bool, elapsed: float | None = None) -> bool:
@@ -96,8 +96,10 @@ def test_criterion_03_longest_element_classification():
 
 
 def test_criterion_04_longest_length_is_positive_root_count():
+    # N = sum(d - 1) over the degrees: the build's walk yields both the
+    # positive roots and w0's word, so their count is no second route.
     ok = all(
-        length_of(system(t), longest_element(system(t))) == len(system(t).positive_roots)
+        length_of(system(t), longest_element(system(t))) == sum(d - 1 for d in degrees(t))
         for t in FULL_SWEEP
     )
     assert report(4, "longest-element length equals the positive-root count on every type", ok)

@@ -18,6 +18,7 @@ from weyldecomp import (
     RootSystemType,
     WeylError,
     apply_matrix,
+    build_root_system,
     cartan_integer,
     check_lambda_v,
     check_permutation_lemma,
@@ -239,6 +240,7 @@ _ARGUMENTS = {
     "family": lambda rs: st.sampled_from("ABEFGQ"),
     "rank": lambda rs: st.integers(-1, 9),
     "text": lambda rs: st.sampled_from(["A3", "E5", "Q2", "A", "", "A65", "G2"]),
+    "type": lambda rs: st.sampled_from([rs.type, RootSystemType("A", 65)]),
     # Records, not rewritten entry by entry: only 5 and None replace them.
     "decomposition": lambda rs: st.lists(st.sampled_from(rs.positive_roots), max_size=3).map(
         lambda roots: decomposition_from_roots(rs, roots)
@@ -256,10 +258,10 @@ def _not_integers(rs):
 
 # What replaces an argument that is not rewritten entry by entry: for a
 # record 5 and None, and for a Decomposition also records whose factors are
-# not a sequence of DecompositionFactor records; for a family or a type text
-# 5 and None; and for an integer whose value sets the answer (a bound, a
-# size, a rank), where 5 would be a valid other question, values that are not
-# integers.
+# not a sequence of DecompositionFactor records; for a family, a type text or
+# a RootSystemType 5 and None; and for an integer whose value sets the answer
+# (a bound, a size, a rank), where 5 would be a valid other question, values
+# that are not integers.
 _RECORDS = {
     "decomposition": lambda rs: [
         5,
@@ -269,6 +271,7 @@ _RECORDS = {
     "case": lambda rs: [5, None],
     "family": lambda rs: [5, None],
     "text": lambda rs: [5, None],
+    "type": lambda rs: [5, None],
     "bound": _not_integers,
     "size": _not_integers,
     "rank": _not_integers,
@@ -309,6 +312,7 @@ _BOUNDARY = [
     (identity_matrix, False, ["size"]),
     (parse_type, False, ["text"]),
     (system, False, ["text"]),
+    (build_root_system, False, ["type"]),
     (
         _named("RootSystemType", lambda family, rank: str(RootSystemType(family, rank))),
         False,
@@ -362,8 +366,6 @@ _EXEMPT = {
         "a matrix outside W raises ValueError, as documented (length_of and "
         "count_reduced_words, in the table, are given elements of W only)",
     ),
-    "build_root_system": "takes a RootSystemType, which the RootSystemType row reads from "
-    "caller values; its lru_cache hashes any other value before a check can run",
 }
 
 _ENTRY = {

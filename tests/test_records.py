@@ -33,8 +33,24 @@ RECORDS = [
     (RootSystemType, ("family", "rank"), ("A", 2), "RootSystemType(family='A', rank=2)"),
     (
         RootSystem,
-        ("type", "gram2", "simple_coroots", "positive_roots", "root_index", "longest"),
-        (A2.type, A2.gram2, A2.simple_coroots, A2.positive_roots, A2.root_index, A2.longest),
+        (
+            "type",
+            "gram2",
+            "simple_coroots",
+            "positive_roots",
+            "root_index",
+            "longest",
+            "longest_word",
+        ),
+        (
+            A2.type,
+            A2.gram2,
+            A2.simple_coroots,
+            A2.positive_roots,
+            A2.root_index,
+            A2.longest,
+            A2.longest_word,
+        ),
         A2_REPR,
     ),
     (
@@ -143,10 +159,11 @@ def test_pickle_and_deepcopy_round_trips(cls, names, values, text):
         else:
             assert twin == record and hash(twin) == hash(record)
     rs = pickle.loads(pickle.dumps(A2))
-    assert (rs.simple_coroots, rs.positive_roots, rs.root_index) == (
+    assert (rs.simple_coroots, rs.positive_roots, rs.root_index, rs.longest_word) == (
         A2.simple_coroots,
         A2.positive_roots,
         A2.root_index,
+        A2.longest_word,
     )
 
 
@@ -156,6 +173,14 @@ def test_root_system_type_validates():
     with pytest.raises(InvalidType):
         RootSystemType(family="E", rank=5)
     assert str(RootSystemType("E", 8)) == "E8"
+
+
+def test_the_repr_of_a_record_with_a_huge_rank_returns():
+    # repr once formatted each field with !r, which raises ValueError for an
+    # int of more than 4300 digits; it now shows fields as messages do.
+    t = RootSystemType("A", 10**5000)
+    assert repr(t) == "RootSystemType(family='A', rank=100000000000... (5001 digits))"
+    assert str(t) == "A100000000000... (5001 digits)"
 
 
 def test_a_rank_is_read_as_an_int_and_a_type_text_as_a_str_or_refused():

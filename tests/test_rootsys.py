@@ -29,6 +29,7 @@ from weyldecomp import (
     system,
 )
 from weyldecomp.rootsys import (
+    _build_root_system,
     _components,
     _coroot,
     _diagram_bijection,
@@ -298,7 +299,7 @@ def test_cartan_integer_on_a_fresh_system_equals_the_dense_coroot_pairing():
         rs = system(t)
         roots = rs.positive_roots + tuple(negate(r) for r in rs.positive_roots)
         expected = [_pair(x, dense_coroot(rs.gram2, a)) for a in roots for x in rs.positive_roots]
-        fresh = build_root_system.__wrapped__(parse_type(t))
+        fresh = _build_root_system.__wrapped__(parse_type(t))
         got = [cartan_integer(fresh, x, a) for a in roots for x in fresh.positive_roots]
         assert got == expected, t
 

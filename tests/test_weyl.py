@@ -183,11 +183,25 @@ def test_longest_element_inverts_every_positive_root():
     for t in FULL_SWEEP:
         rs = system(t)
         w0 = longest_element(rs)
-        assert length_of(rs, w0) == len(rs.positive_roots)
+        assert length_of(rs, w0) == sum(d - 1 for d in degrees(t))
         for r in rs.positive_roots[: min(len(rs.positive_roots), 12)]:
             image = apply_matrix(w0, r)
             assert all(c <= 0 for c in image)
         assert compose(w0, w0) == identity_matrix(rs.rank)
+
+
+def test_reduced_word_of_w0_is_the_word_the_system_keeps():
+    # For w0, in any shape the matrix reader takes, reduced_word_of returns
+    # the word kept from the build's walk, which is the word the descent
+    # walk from w0 finds; one changed entry takes the walk, which refuses it.
+    for t in ["A1", "A4", "B3", "D5", "E6", "F4", "G2"]:
+        rs = system(t)
+        w0 = [list(row) for row in longest_element(rs)]
+        walked = tuple(_greedy_walk(rs.simple_coroots, [-sum(col) for col in zip(*w0)]))
+        assert reduced_word_of(rs, w0) is rs.longest_word == walked[::-1], t
+        w0[-1][0] += 1
+        with pytest.raises(ValueError):
+            reduced_word_of(rs, w0)
 
 
 def test_classification_full_table():
