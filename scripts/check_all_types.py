@@ -38,10 +38,13 @@ For each of the 257 types that ``build_root_system`` accepts (ranks up to
 - w0 is minus a diagram automorphism that is an involution of 1..n
   (``classify_longest``), as w0 is its own inverse.
 
-It prints its CPU time and peak RSS, and the CPU time that the build
-(``build_root_system``, the greedy walk to w0 included) and the lifted-bound
-search took over all types, each with its slowest type; it gates on none of
-them.  It exits 1 naming the types that fail, and for the ledger each field
+It prints its CPU time and peak RSS, and the CPU time over all types, each
+with its slowest type, of three phases: the build (``build_root_system``, the
+greedy walk to w0 included); the decomposition layer (the canonical
+decomposition, built on this first call for the system, then
+``verify_decomposition``, ``parabolic_tower`` and
+``recursion_relation_check``); and the lifted-bound search.  It gates on none
+of them.  It exits 1 naming the types that fail, and for the ledger each field
 that differs.
 """
 from __future__ import annotations
@@ -62,6 +65,7 @@ from weyldecomp import (
     enumerate_max_orthogonal,
     evaluate_word,
     longest_element,
+    parabolic_tower,
     recursion_relation_check,
     reduced_word_of,
     system,
@@ -101,8 +105,8 @@ def sha256(value) -> str:
 def failures(t: str, digest: str, entry: dict, recursion: Counter, timings: dict) -> list[str]:
     """The checks t fails; fills ``entry`` with the sha256 of each ledger
     field it reaches, counts its recursion outcome in ``recursion`` and
-    records the CPU seconds of its build and of its lifted-bound search under
-    ``timings[phase][t]``."""
+    records the CPU seconds of its build, its decomposition layer and its
+    lifted-bound search under ``timings[phase][t]``."""
     start = time.process_time()
     rs = system(t)
     timings["build"][t] = time.process_time() - start
@@ -121,13 +125,17 @@ def failures(t: str, digest: str, entry: dict, recursion: Counter, timings: dict
         failed.append("w0 word")
     if not is_involution(classify_longest(rs).automorphism):
         failed.append("w0 involution")
-    canonical = canonical_decomposition(rs)
-    if not verify_decomposition(rs, canonical).all_ok():
-        failed.append("verify")
+    start = time.process_time()
+    canonical = canonical_decomposition(rs)  # the first call for this system
+    verified = verify_decomposition(rs, canonical).all_ok()
+    parabolic_tower(rs)
     try:
         holds = recursion_relation_check(rs)
     except NoRelation:
         holds = "NoRelation"
+    timings["decomposition layer"][t] = time.process_time() - start
+    if not verified:
+        failed.append("verify")
     recursion[holds] += 1
     entry["recursion"] = sha256(holds)
     if holds is False:
@@ -154,7 +162,11 @@ def main() -> int:
         if len(TYPES) != 257 or sorted(table) != sorted(TYPES):
             raise SystemExit(f"{path} does not hold one entry per supported type")
     recursion: Counter = Counter()
-    timings: dict[str, dict[str, float]] = {"build": {}, "lifted-bound search": {}}
+    timings: dict[str, dict[str, float]] = {
+        "build": {},
+        "decomposition layer": {},
+        "lifted-bound search": {},
+    }
     entries: dict[str, dict[str, str]] = {t: {} for t in TYPES}
     failed = {}
     for t in TYPES:

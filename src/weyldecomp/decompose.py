@@ -7,14 +7,17 @@ cascade of strongly orthogonal roots (B. Kostant, "The cascade of orthogonal
 roots and the coadjoint structure of the nilradical of a Borel subgroup of a
 semisimple Lie group", Moscow Math. J. 12, 2012): take the highest root of
 each connected component of the Dynkin diagram, keep the nodes orthogonal to
-it, and recurse.  It verifies candidate decompositions against five independent
-conditions, enumerates all maximal-orthogonal decompositions by exhaustive
-search on small systems, and exposes the cross-rank recursion that produces
-each canonical decomposition from a smaller system's.
+it, and recurse; it is built once per system and shared by every reader.  The
+module verifies candidate decompositions against five independent conditions,
+taking each factor's coroot once for both the orthogonality check and the
+product, enumerates all maximal-orthogonal decompositions by exhaustive search
+on small systems, and exposes the cross-rank recursion that produces each
+canonical decomposition from a smaller system's.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import combinations, product
 from operator import le
 
@@ -144,8 +147,15 @@ def canonical_decomposition(rs: RootSystem) -> Decomposition:
     Its factors are the roots of Kostant's cascade (Moscow Math. J. 12, 2012).
     Simple factors come first; the remaining factors are highest roots of a
     dominance-increasing chain of connected standard parabolics, listed by
-    ascending height.
+    ascending height.  It is built on the first call for a system and
+    shared: later calls, ``parabolic_tower`` and ``dn_orthogonality_pattern``
+    all read that one immutable Decomposition.
     """
+    return _canonical_decomposition(rs)
+
+
+@lru_cache(maxsize=None)
+def _canonical_decomposition(rs: RootSystem) -> Decomposition:
     roots = [theta for theta, _ in _cascade(rs)]
     simples = sorted((r for r in roots if sum(r) == 1), key=_simple_factor_key(rs))
     chain = sorted((r for r in roots if sum(r) > 1), key=sum)
@@ -193,7 +203,7 @@ def verify_decomposition(rs: RootSystem, dec: Decomposition) -> VerificationRepo
         all(map(le, x, y)) or all(map(le, y, x)) for x, y in combinations(non_simple, 2)
     )
 
-    product_is_w0 = _unpack(_reflection_columns(rs, roots)) == longest_element(rs)
+    product_is_w0 = _unpack(_reflection_columns(rs, roots, rows)) == longest_element(rs)
     count_ok = len(roots) <= rs.rank
     return VerificationReport(
         orthogonal=orthogonal,

@@ -95,15 +95,16 @@ def reflection_product(rs: RootSystem, roots) -> Matrix:
     return _unpack(_reflection_columns(rs, [_root(rs, r) for r in _sequence(roots, "root list")]))
 
 
-def _reflection_columns(rs: RootSystem, roots) -> list[int]:
-    """``reflection_product``'s packed columns, on int-tuple roots of rs that callers built."""
+def _reflection_columns(rs: RootSystem, roots, rows=None) -> list[int]:
+    """``reflection_product``'s packed columns, on int-tuple roots of rs that
+    callers built; ``rows``, when given, holds each root's ``_coroot``."""
     cols = _units(rs.rank, 1)
-    for r in roots:
+    for k, r in enumerate(roots):
         if sum(r) == 1:
             i = r.index(1)
             v, row = cols[i], rs.simple_coroots[i]
         else:
-            v, row = sum(map(mul, r, cols)), _coroot(rs, r)
+            v, row = sum(map(mul, r, cols)), _coroot(rs, r) if rows is None else rows[k]
         for j, c in row:
             cols[j] -= c * v
     return cols

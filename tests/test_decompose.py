@@ -12,6 +12,7 @@ from weyldecomp import (
     TooLarge,
     WrongFamily,
     canonical_decomposition,
+    cli,
     compose,
     decomposition_from_roots,
     dn_orthogonality_pattern,
@@ -169,6 +170,35 @@ def test_canonical_verifies_everywhere():
         rs = system(t)
         report = verify_decomposition(rs, canonical_decomposition(rs))
         assert report.all_ok(), (t, report)
+
+
+def test_the_canonical_decomposition_is_built_once_per_system(monkeypatch):
+    # The tower, the D_n pattern and export (canonical, then tower) read the
+    # cached decomposition, so the cascade runs once per system.
+    clear_package_caches()
+    walked = []
+    monkeypatch.setattr(decompose, "_cascade", lambda rs: walked.append(rs) or _cascade(rs))
+    d8 = system("D8")
+    dec = canonical_decomposition(d8)
+    parabolic_tower(d8)
+    assert dn_orthogonality_pattern(d8)
+    assert canonical_decomposition(d8) is dec
+    assert cli.run(["export", "--type", "E8", "--json"])[0] == 0
+    e8 = system("E8")
+    assert canonical_decomposition(e8) is canonical_decomposition(e8)
+    info = decompose._canonical_decomposition.cache_info()
+    assert (info.misses, info.currsize) == (2, 2), info
+    assert walked == [d8, e8]
+
+
+def test_the_cached_decomposition_equals_a_fresh_build():
+    fresh = decompose._canonical_decomposition.__wrapped__
+    for t in FULL_SWEEP + ["A64", "B64", "C64", "D64"]:
+        rs = system(t)
+        assert canonical_decomposition(rs) == fresh(rs), t
+        tower = parabolic_tower(rs)  # read off the cached decomposition
+        decompose._canonical_decomposition.cache_clear()
+        assert parabolic_tower(rs) == tower, t
 
 
 def test_decomposition_product_is_the_longest_element():
